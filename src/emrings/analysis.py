@@ -9,17 +9,14 @@ validated against unrestricted brute force).
 
 Every decider returns a :class:`PropertyReport` whose false verdicts carry a
 re-checkable counterexample and whose bounded verdicts list the caps used.
-Candidate and subset scans run in canonical (ascending) order; the optional
-worker fan-out merges chunk results in submission order, so verdicts and
-witnesses are independent of the level of parallelism.
+Candidate and subset scans run sequentially in canonical (ascending) order
+and stop at the first hit, so verdicts and witnesses are deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -37,6 +34,7 @@ from .poly import (
     BivariatePolynomial,
     Polynomial,
     biv_scale,
+    is_zero_divisor_poly,
     kronecker_flatten,
     poly_scale,
     poly_str,
@@ -46,6 +44,7 @@ from .rings import (
     InternalInvariantError,
     annihilator_mask,
     ideal_generated,
+    is_principal,
     units,
     zero_divisors,
 )
@@ -62,8 +61,8 @@ class SearchCaps:
     ``max_subset``: AUTO applies the default rule (unlimited when |Z(R)| <=
     12, else 4); None means unlimited; an int caps coefficient-set size.
     ``max_degree`` bounds polynomial enumeration (pairs, tuples, bivariate
-    grids).  ``jobs`` sets the worker fan-out; results are canonical-order
-    merged so it never changes output.
+    grids).  ``jobs`` is accepted for compatibility and has no effect:
+    every scan runs sequentially.
     """
 
     max_subset: object = AUTO
@@ -151,48 +150,19 @@ class ContentWitness:
         }
 
 
-# -- deterministic chunked scanning ------------------------------------------
+# -- deterministic scanning ----------------------------------------------------
 
 
-def first_hit(items: Iterable, check: Callable, jobs: int = 1, chunk_size: int = 64):
+def first_hit(items: Iterable, check: Callable):
     """First item (in iteration order) for which check() is not None.
 
-    Returns (item, payload) or None.  With jobs > 1, chunks are evaluated on
-    a thread pool but consumed strictly in submission order, so the reported
-    hit is the same as the sequential one.
+    Returns (item, payload) or None; no item past the hit is checked.
     """
-    if jobs <= 1:
-        for item in items:
-            payload = check(item)
-            if payload is not None:
-                return item, payload
-        return None
-
-    def run_chunk(chunk):
-        for item in chunk:
-            payload = check(item)
-            if payload is not None:
-                return item, payload
-        return None
-
-    stream = iter(items)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        pending: deque = deque()
-        exhausted = False
-        while True:
-            while not exhausted and len(pending) < 2 * jobs:
-                chunk = list(itertools.islice(stream, chunk_size))
-                if not chunk:
-                    exhausted = True
-                    break
-                pending.append(pool.submit(run_chunk, chunk))
-            if not pending:
-                return None
-            hit = pending.popleft().result()
-            if hit is not None:
-                for fut in pending:
-                    fut.cancel()
-                return hit
+    for item in items:
+        payload = check(item)
+        if payload is not None:
+            return item, payload
+    return None
 
 
 # -- candidate machinery -------------------------------------------------------
@@ -264,8 +234,6 @@ def _witness_polynomial(ring: FiniteRing, c: int, reps: Sequence[int]) -> Polyno
 def find_annihilating_content(
     f: Polynomial,
     grading: Optional[Grading] = None,
-    *,
-    jobs: int = 1,
 ) -> Optional[ContentWitness]:
     """Search Z(R)\\{0} in canonical order for an annihilating content of f.
 
@@ -277,7 +245,8 @@ def find_annihilating_content(
     fill ``homogeneous_c``.  Returns None only after exhausting every
     candidate.
     """
-    _require_zero_divisor(f)
+    if not is_zero_divisor_poly(f)[0]:
+        raise ValueError("content search requires a zero-divisor polynomial")
     ring = f.ring
     cands, div = _candidate_data(ring)
     support = sorted(set(c for c in f.coeffs if c != ring.zero))
@@ -296,9 +265,7 @@ def find_annihilating_content(
         if reps is None:
             raise InternalInvariantError("cached content candidate stopped working")
     else:
-        hit = first_hit(
-            viable, lambda c: _try_candidate(ring, f.coeffs, int(c)), jobs=jobs, chunk_size=32
-        )
+        hit = first_hit(viable, lambda c: _try_candidate(ring, f.coeffs, int(c)))
         if hit is None:
             set_cache[key] = None
             return None
@@ -312,23 +279,12 @@ def find_annihilating_content(
         else:
             later = viable[viable > c]
             hom = [int(x) for x in later if int(x) in hz]
-            hom_hit = first_hit(
-                hom, lambda h: _try_candidate(ring, f.coeffs, h), jobs=jobs, chunk_size=32
-            )
+            hom_hit = first_hit(hom, lambda h: _try_candidate(ring, f.coeffs, h))
             if hom_hit is not None:
                 homogeneous_c = int(hom_hit[0])
     witness = ContentWitness(c=c, g=_witness_polynomial(ring, c, reps), homogeneous_c=homogeneous_c)
     witness.revalidate(f)
     return witness
-
-
-def _require_zero_divisor(f: Polynomial) -> None:
-    if f.is_zero:
-        raise ValueError("the zero polynomial has no annihilating content")
-    mask = annihilator_mask(f.ring, set(f.coeffs))
-    mask[f.ring.zero] = False
-    if not mask.any():
-        raise ValueError("content search requires a zero-divisor polynomial")
 
 
 # -- EM deciders ----------------------------------------------------------------
@@ -377,7 +333,7 @@ def is_em_subset(
             return f
         return None
 
-    hit = first_hit(_subset_stream(pool, limit), check, jobs=caps.jobs)
+    hit = first_hit(_subset_stream(pool, limit), check)
     bounds = _ring_bounds(ring)
     if not exhaustive:
         bounds["max_subset"] = limit
@@ -586,11 +542,11 @@ def is_bezout_g_graded(
         ideal = ideal_generated(ring, gens)
         if not is_graded_ideal(grading, ideal):
             return None
-        if principal_generator(ring, ideal.elements) is None:
+        if is_principal(ring, ideal) is None:
             return {"generators": [int(g) for g in gens], "ideal_size": len(ideal)}
         return None
 
-    hit = first_hit(gen_stream, check, jobs=caps.jobs, chunk_size=16)
+    hit = first_hit(gen_stream, check)
     bounds = {"generator_cap": k, **_ring_bounds(ring)}
     if sampled is not None:
         bounds["sampled_tuples"] = sampled
@@ -599,24 +555,6 @@ def is_bezout_g_graded(
         return PropertyReport("bezout-graded", "false", hit[1], bounds, millis)
     verdict = "true" if sampled is None else "true_up_to_bounds"
     return PropertyReport("bezout-graded", verdict, None, bounds, millis)
-
-
-def principal_generator(ring: FiniteRing, elements: Sequence[int]) -> Optional[int]:
-    """Smallest p whose multiples are exactly ``elements`` (None if no p)."""
-    sizes = ring._cache.get("row_image_sizes")
-    if sizes is None:
-        sizes = np.fromiter(
-            (len(np.unique(ring.mul_table[p])) for p in range(ring.order)),
-            dtype=np.int64,
-        )
-        ring._cache["row_image_sizes"] = sizes
-    target = np.fromiter(elements, dtype=np.int64)
-    for p in elements:
-        if sizes[p] != len(target):
-            continue
-        if np.array_equal(np.unique(ring.mul_table[p]), target):
-            return int(p)
-    return None
 
 
 # -- regular embedding (identity component into the whole ring) --------------------
@@ -653,7 +591,7 @@ def check_regular_embedding(
             }
         return None
 
-    hit = first_hit(_subset_stream(pool, limit), check, jobs=caps.jobs)
+    hit = first_hit(_subset_stream(pool, limit), check)
     bounds = _ring_bounds(ring)
     if limit < len(pool):
         bounds["max_subset"] = limit
@@ -724,7 +662,7 @@ def verify_t5(
         limit = len(pool) if cap is None else min(cap, len(pool))
         if limit < len(pool):
             bounded = True
-        hit = first_hit(_subset_stream(pool, limit), check, jobs=caps.jobs)
+        hit = first_hit(_subset_stream(pool, limit), check)
         if hit is not None:
             witness = dict(hit[1])
             witness["component"] = list(key)
@@ -797,7 +735,7 @@ def verify_t7_bounded(
     for key in grading.support_keys:
         pool = grading.support[key].elements
         grids = itertools.product(pool, repeat=(dx + 1) * (dy + 1))
-        hit = first_hit(grids, check, jobs=caps.jobs, chunk_size=128)
+        hit = first_hit(grids, check)
         if hit is not None:
             break
     bounds = {"x_degree": dx, "y_degree": dy, **_ring_bounds(ring)}

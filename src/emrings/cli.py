@@ -24,7 +24,7 @@ from .analysis import (
     is_em_g_graded,
     is_em_ring,
 )
-from .construct import DEFAULT_MAX_ORDER, build_spec
+from .construct import DEFAULT_MAX_ORDER, OrderCapError, build_spec
 from .grading import (
     Grading,
     GradingError,
@@ -80,6 +80,8 @@ def _resolve_ring(arg: str, max_order: int) -> tuple[FiniteRing, Optional[str]]:
         ring = build_spec(doc, max_order=max_order)
         validate_ring(ring)
         return ring, None
+    if len(doc["add"]) > max_order:
+        raise OrderCapError(len(doc["add"]), max_order)
     return FiniteRing.from_dict(doc), None
 
 
@@ -257,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
                         help="largest ring order constructions may materialize")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker count (output is identical for any value)")
+                        help="accepted for compatibility; has no effect (scans are sequential)")
     common.add_argument("--format", choices=["text", "json"], default="text")
     common.add_argument("--report-homogeneous-content", action="store_true",
                         help="also search for a homogeneous annihilating content")
@@ -335,7 +337,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             if args.report_homogeneous_content:
                 grading = _resolve_grading(ring, preset, args.grading)
             try:
-                witness = find_annihilating_content(f, grading, jobs=args.jobs)
+                witness = find_annihilating_content(f, grading)
             except ValueError as err:
                 raise UsageError(str(err)) from err
             if args.format == "json":

@@ -381,9 +381,22 @@ def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
 
 
 def is_principal(ring: FiniteRing, ideal: Ideal) -> Optional[int]:
-    """Smallest p with <p> equal to the ideal, or None."""
+    """Smallest p with <p> equal to the ideal, or None.
+
+    A cached table of |pR| per element skips every p whose principal ideal
+    has the wrong size before any row is compared.
+    """
+    sizes = ring._cache.get("row_image_sizes")
+    if sizes is None:
+        sizes = np.fromiter(
+            (len(np.unique(ring.mul_table[p])) for p in range(ring.order)),
+            dtype=np.int64,
+        )
+        ring._cache["row_image_sizes"] = sizes
     target = np.fromiter(ideal.elements, dtype=np.int64)
     for p in ideal.elements:
+        if sizes[p] != len(target):
+            continue
         if np.array_equal(np.unique(ring.mul_table[p]), target):
             return int(p)
     return None

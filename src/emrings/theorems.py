@@ -355,7 +355,6 @@ def _entry_rows(
             bad = first_hit(
                 _subset_stream(pool, limit),
                 lambda s: s if not content_is_graded(grading, Polynomial(ring, s)) else None,
-                jobs=caps.jobs,
             )
             if bad is not None:
                 return True, False

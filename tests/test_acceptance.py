@@ -58,7 +58,7 @@ def _small_rings(entries):
 def _criterion_1(entries, caps):
     e1 = next(e for e in entries if e.name == "e1")
     em = is_em_ring(e1.ring, caps)
-    content = find_annihilating_content(polynomial(e1.ring, [2, 4]), jobs=caps.jobs)
+    content = find_annihilating_content(polynomial(e1.ring, [2, 4]))
     graded = is_em_g_graded(e1.ring, e1.grading, caps)
     return {
         "em": em.to_dict(timing=False),
@@ -161,7 +161,7 @@ def _criterion_6(entries, caps):
                 continue  # regular: not a zero-divisor polynomial
             done += 1
             total += 1
-            witness = find_annihilating_content(f, jobs=caps.jobs)
+            witness = find_annihilating_content(f)
             oracle_c = content_bruteforce(ring, f.coeffs)
             if (witness is None) != (oracle_c is None):
                 disagreements.append({"ring": entry.name, "poly": list(f.coeffs)})

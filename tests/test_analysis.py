@@ -244,13 +244,17 @@ def test_caps_resolution(z4, e1):
     assert SearchCaps(max_subset=2).subset_cap(z4) == 2
 
 
-def test_first_hit_parallel_matches_sequential():
-    items = list(range(1000))
-    check = lambda x: ("hit", x) if x % 379 == 17 else None
-    seq = first_hit(items, check, jobs=1)
-    par = first_hit(items, check, jobs=4, chunk_size=16)
-    assert seq == par
-    assert first_hit(items, lambda x: None, jobs=4) is None
+def test_first_hit_stops_at_first_hit_in_order():
+    items = list(range(999, -1, -1))  # descending: the first hit is not the smallest
+    seen = []
+
+    def check(x):
+        seen.append(x)
+        return ("hit", x) if x % 379 == 17 else None
+
+    assert first_hit(items, check) == (775, ("hit", 775))
+    assert seen == items[: items.index(775) + 1]  # nothing checked past the hit
+    assert first_hit(items, lambda x: None) is None
 
 
 def test_jobs_do_not_change_reports(e1, e1_grading):

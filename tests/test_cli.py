@@ -111,6 +111,15 @@ def test_ring_file_and_spec_file(tmp_path, capsys, z6):
     assert code == 0 and json.loads(out)["order"] == 6
 
 
+def test_ring_file_respects_max_order(tmp_path, capsys, z6):
+    ring_doc = tmp_path / "ring.json"
+    ring_doc.write_text(json.dumps(z6.to_dict()))
+    code, _, err = run(capsys, "check", "--ring", str(ring_doc), "--property", "em",
+                       "--max-order", "4")
+    assert code == 1
+    assert "cap 4" in err
+
+
 def test_bad_ring_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,6 +100,20 @@ def test_is_principal_examples(z4, z6, e1):
     ideal = ideal_generated(e1, [8])
     assert ideal.elements == (0, 8)
     assert is_principal(e1, ideal) == 8
+
+
+def test_is_principal_matches_generated_ideals(z6, e1):
+    # every ideal on <= 2 generators against a direct search for the
+    # smallest p with <p> equal to it (exercises the |pR| size prefilter)
+    for ring in (z6, e1):
+        for gens in itertools.combinations_with_replacement(range(ring.order), 2):
+            ideal = ideal_generated(ring, gens)
+            expected = next(
+                (p for p in ideal.elements
+                 if ideal_generated(ring, [p]).elements == ideal.elements),
+                None,
+            )
+            assert is_principal(ring, ideal) == expected, gens
 
 
 def test_partition_law_units_vs_zero_divisors(z4, z6, e1):
