@@ -1,16 +1,16 @@
 """Annihilating-content search with certificates and the EM-property deciders.
 
-The central reduction: a polynomial's zero-divisor status and the existence
-of an annihilating content depend only on its set of nonzero coefficients,
-and for each candidate content c one representative per coefficient suffices
-once all of Ann(c) is appended to the cofactor.  Both facts carry oracle
-tests in the suite (they are proved in the README's algorithm notes, then
-validated against unrestricted brute force).
+The central reductions: a polynomial's zero-divisor status and the existence
+of an annihilating content depend only on the ideal its coefficients
+generate, and for each candidate content c one representative per
+coefficient suffices once all of Ann(c) is appended to the cofactor.  Both
+facts carry oracle tests in the suite (they are proved in the README's
+algorithm notes, then validated against unrestricted brute force).
 
 Every decider returns a :class:`PropertyReport` whose false verdicts carry a
 re-checkable counterexample and whose bounded verdicts list the caps used.
-Candidate and subset scans run sequentially in canonical (ascending) order
-and stop at the first hit, so verdicts and witnesses are deterministic.
+Candidate and ideal scans run sequentially in canonical order and stop at
+the first hit, so verdicts and witnesses are deterministic.
 """
 
 from __future__ import annotations
@@ -43,39 +43,23 @@ from .rings import (
     FiniteRing,
     InternalInvariantError,
     annihilator_mask,
-    ideal_generated,
-    is_principal,
+    ideal_lattice,
     units,
     zero_divisors,
 )
-
-AUTO = "auto"
-SMALL_ZD_POOL = 12  # |Z(R)| at or below this: subset search is unlimited
-DEFAULT_SUBSET_CAP = 4
 
 
 @dataclass(frozen=True)
 class SearchCaps:
     """Bounds shared by the deciders.
 
-    ``max_subset``: AUTO applies the default rule (unlimited when |Z(R)| <=
-    12, else 4); None means unlimited; an int caps coefficient-set size.
     ``max_degree`` bounds polynomial enumeration (pairs, tuples, bivariate
     grids).  ``jobs`` is accepted for compatibility and has no effect:
     every scan runs sequentially.
     """
 
-    max_subset: object = AUTO
     max_degree: int = 3
     jobs: int = 1
-
-    def subset_cap(self, ring: FiniteRing) -> Optional[int]:
-        if self.max_subset is AUTO or self.max_subset == AUTO:
-            return None if len(zero_divisors(ring)) <= SMALL_ZD_POOL else DEFAULT_SUBSET_CAP
-        if self.max_subset is None:
-            return None
-        cap = int(self.max_subset)
-        return None if cap <= 0 else cap
 
 
 @dataclass
@@ -124,8 +108,8 @@ class ContentWitness:
         ring = f.ring
         if self.c == ring.zero:
             raise InternalInvariantError("content witness c is zero")
-        zd = zero_divisors(ring)
-        if self.c not in zd:
+        c_ann = annihilator_mask(ring, [self.c])
+        if int(c_ann.sum()) == 1:
             raise InternalInvariantError("content witness c is not a zero divisor")
         if poly_scale(self.c, self.g) != f:
             raise InternalInvariantError("content witness does not factor f")
@@ -133,7 +117,6 @@ class ContentWitness:
         if int(g_ann.sum()) != 1:
             raise InternalInvariantError("cofactor has a nonzero annihilator")
         f_ann = annihilator_mask(ring, set(f.coeffs))
-        c_ann = annihilator_mask(ring, [self.c])
         if not np.array_equal(f_ann, c_ann):
             raise InternalInvariantError("Ann(C(f)) differs from Ann(c)")
         if self.homogeneous_c is not None and self.homogeneous_c == ring.zero:
@@ -297,11 +280,6 @@ def _ring_bounds(ring: FiniteRing) -> dict:
     return {}
 
 
-def _subset_stream(pool: Sequence[int], limit: int):
-    for size in range(1, limit + 1):
-        yield from itertools.combinations(pool, size)
-
-
 def is_em_subset(
     ring: FiniteRing,
     elems: Iterable[int],
@@ -311,35 +289,32 @@ def is_em_subset(
     """Does every zero-divisor polynomial with coefficients in ``elems`` have
     an annihilating content?
 
-    Zero-divisor status and content existence depend only on the coefficient
-    set, so the scan runs over subsets of elems n Z(R)\\{0} (subsets whose
-    joint annihilator is trivial give regular polynomials and are skipped).
-    Exhaustive when the cap covers the whole pool.
+    Zero-divisor status and content existence depend only on the ideal the
+    coefficients generate, so the scan runs once per ideal generated by a
+    subset of elems n Z(R)\\{0} (ideals with trivial annihilator give regular
+    polynomials and are skipped).  Always exhaustive; a false witness is the
+    generating subset the ideal enumeration reached first, as coefficients.
     """
     t0 = time.perf_counter()
     zd = zero_divisors(ring).element_set
-    pool = sorted(set(int(e) for e in elems) & zd - {ring.zero})
-    cap = caps.subset_cap(ring)
-    limit = len(pool) if cap is None else min(cap, len(pool))
-    exhaustive = limit >= len(pool)
+    pool = set(int(e) for e in elems) & zd - {ring.zero}
 
-    def check(subset):
-        mask = annihilator_mask(ring, subset)
+    def check(ideal):
+        mask = annihilator_mask(ring, ideal.generators)
         mask[ring.zero] = False
         if not mask.any():
             return None  # jointly regular coefficients: not a zero-divisor poly
-        f = Polynomial(ring, subset)
+        f = Polynomial(ring, ideal.generators)
         if find_annihilating_content(f) is None:
             return f
         return None
 
-    hit = first_hit(_subset_stream(pool, limit), check)
+    hit = first_hit(ideal_lattice(ring, pool), check)
     bounds = _ring_bounds(ring)
-    if not exhaustive:
-        bounds["max_subset"] = limit
     millis = (time.perf_counter() - t0) * 1000
     if hit is not None:
-        subset, f = hit
+        ideal, f = hit
+        subset = ideal.generators
         witness = {
             "coefficients": [int(s) for s in subset],
             "labels": [ring.label(s) for s in subset],
@@ -347,8 +322,7 @@ def is_em_subset(
             "poly_str": poly_str(f),
         }
         return PropertyReport(name, "false", witness, bounds, millis)
-    verdict = "true" if exhaustive else "true_up_to_bounds"
-    return PropertyReport(name, verdict, None, bounds, millis)
+    return PropertyReport(name, "true", None, bounds, millis)
 
 
 def is_em_ring(ring: FiniteRing, caps: SearchCaps = SearchCaps()) -> PropertyReport:
@@ -363,21 +337,15 @@ def is_em_g_graded(
     """EM-G-graded: every support component is an EM-subset of the ring."""
     t0 = time.perf_counter()
     bounds = _ring_bounds(ring)
-    bounded = False
     for key in grading.support_keys:
         sub = is_em_subset(ring, grading.support[key].elements, caps, name="em-subset")
         if not sub.holds:
             witness = dict(sub.witness or {})
             witness["component"] = list(key)
             millis = (time.perf_counter() - t0) * 1000
-            bounds.update(sub.bounds)
             return PropertyReport("em-graded", "false", witness, bounds, millis)
-        if sub.verdict == "true_up_to_bounds":
-            bounded = True
-            bounds.update(sub.bounds)
     millis = (time.perf_counter() - t0) * 1000
-    verdict = "true_up_to_bounds" if bounded else "true"
-    return PropertyReport("em-graded", verdict, None, bounds, millis)
+    return PropertyReport("em-graded", "true", None, bounds, millis)
 
 
 # -- Armendariz deciders ----------------------------------------------------------
@@ -495,10 +463,6 @@ def is_armendariz_g_graded(
 # -- Bezout-graded ----------------------------------------------------------------
 
 
-BEZOUT_FULL_ENUM_LIMIT = 150  # full pair enumeration below this order
-BEZOUT_SAMPLE = 400
-
-
 def is_bezout_g_graded(
     ring: FiniteRing,
     grading: Grading,
@@ -507,54 +471,27 @@ def is_bezout_g_graded(
 ) -> PropertyReport:
     """Is every graded ideal on <= k generators principal?
 
-    Exhaustive for small rings; above the enumeration limit the scan covers
-    every homogeneous generator tuple plus a seeded sample of general tuples
-    and reports itself as bounded.
+    Enumerates every ideal generated by at most k ring elements.  The first
+    level of the enumeration is every principal ideal, so an ideal first
+    reached at a later level is not principal, and the first graded one is
+    the witness, with its lexicographically first smallest generating set.
+    Exhaustive at every order.
     """
     if k < 2:
         raise ValueError("generator cap must be >= 2")
     t0 = time.perf_counter()
-    n = ring.order
-    sampled = None
-    if n <= BEZOUT_FULL_ENUM_LIMIT:
-        gen_stream = itertools.chain.from_iterable(
-            itertools.combinations(range(n), size) for size in range(2, k + 1)
-        )
-    else:
-        hom = homogeneous_elements(grading).elements
-        rng = np.random.default_rng(n * 31 + k)
-        extra = {
-            tuple(sorted(rng.integers(0, n, size=size).tolist()))
-            for size in range(2, k + 1)
-            for _ in range(BEZOUT_SAMPLE)
-        }
-        hom_tuples = [
-            t
-            for size in range(2, k + 1)
-            for t in itertools.combinations(hom, size)
-        ]
-        gen_stream = itertools.chain(hom_tuples, sorted(extra))
-        sampled = len(hom_tuples) + len(extra)
 
-    def check(gens):
-        if len(set(gens)) != len(gens):
+    def check(ideal):
+        if len(ideal.generators) < 2 or not is_graded_ideal(grading, ideal):
             return None
-        ideal = ideal_generated(ring, gens)
-        if not is_graded_ideal(grading, ideal):
-            return None
-        if is_principal(ring, ideal) is None:
-            return {"generators": [int(g) for g in gens], "ideal_size": len(ideal)}
-        return None
+        return {"generators": [int(g) for g in ideal.generators], "ideal_size": len(ideal)}
 
-    hit = first_hit(gen_stream, check)
+    hit = first_hit(ideal_lattice(ring, range(ring.order), k), check)
     bounds = {"generator_cap": k, **_ring_bounds(ring)}
-    if sampled is not None:
-        bounds["sampled_tuples"] = sampled
     millis = (time.perf_counter() - t0) * 1000
     if hit is not None:
         return PropertyReport("bezout-graded", "false", hit[1], bounds, millis)
-    verdict = "true" if sampled is None else "true_up_to_bounds"
-    return PropertyReport("bezout-graded", verdict, None, bounds, millis)
+    return PropertyReport("bezout-graded", "true", None, bounds, millis)
 
 
 # -- regular embedding (identity component into the whole ring) --------------------
@@ -576,30 +513,25 @@ def check_regular_embedding(
     re_mask = np.zeros(ring.order, dtype=bool)
     re_mask[list(re)] = True
     pool = [e for e in re if e != ring.zero]
-    cap = caps.subset_cap(ring)
-    limit = len(pool) if cap is None else min(cap, len(pool))
 
-    def check(subset):
-        ann = annihilator_mask(ring, subset)
+    def check(ideal):
+        ann = annihilator_mask(ring, ideal.generators)
         inside = ann & re_mask
         if int(inside.sum()) != 1:
             return None  # not regular inside R_e: hypothesis empty
         if int(ann.sum()) != 1:
             return {
-                "tuple": [int(s) for s in subset],
+                "tuple": [int(s) for s in ideal.generators],
                 "ambient_annihilator": int(np.nonzero(ann)[0][1]),
             }
         return None
 
-    hit = first_hit(_subset_stream(pool, limit), check)
+    hit = first_hit(ideal_lattice(ring, pool), check)
     bounds = _ring_bounds(ring)
-    if limit < len(pool):
-        bounds["max_subset"] = limit
     millis = (time.perf_counter() - t0) * 1000
     if hit is not None:
         return PropertyReport("regular-embedding", "false", hit[1], bounds, millis)
-    verdict = "true" if limit >= len(pool) else "true_up_to_bounds"
-    return PropertyReport("regular-embedding", verdict, None, bounds, millis)
+    return PropertyReport("regular-embedding", "true", None, bounds, millis)
 
 
 # -- localization-based checks ------------------------------------------------------
@@ -626,8 +558,11 @@ def verify_t5(
     """When hT(R) is EM-graded, every homogeneous zero-divisor coefficient
     set must share its annihilator with a single ring element.
 
-    A false verdict is classified as an internal-bug indicator, not a
-    property of the mathematics.
+    Ann(S) = Ann((S)), so the check runs once per ideal generated by a subset
+    of one component's nonzero zero divisors, and is exhaustive; a false
+    witness is that ideal's first generating subset.  A false verdict is
+    classified as an internal-bug indicator, not a property of the
+    mathematics.
     """
     t0 = time.perf_counter()
     loc = total_graded_quotient_ring(grading)
@@ -641,11 +576,9 @@ def verify_t5(
 
     zd = zero_divisors(ring).element_set
     ann_sizes = (ring.mul_table == ring.zero).sum(axis=0)
-    cap = caps.subset_cap(ring)
-    bounded = False
 
-    def check(subset):
-        target = annihilator_mask(ring, subset)
+    def check(ideal):
+        target = annihilator_mask(ring, ideal.generators)
         if int(target.sum()) == 1:
             return None  # regular coefficient set
         count = int(target.sum())
@@ -653,26 +586,20 @@ def verify_t5(
             if np.array_equal(ring.mul_table[:, c] == ring.zero, target):
                 return None
         return {
-            "coefficients": [int(s) for s in subset],
+            "coefficients": [int(s) for s in ideal.generators],
             "classified": "internal-bug-indicator",
         }
 
     for key in grading.support_keys:
-        pool = sorted(set(grading.support[key].elements) & zd - {ring.zero})
-        limit = len(pool) if cap is None else min(cap, len(pool))
-        if limit < len(pool):
-            bounded = True
-        hit = first_hit(_subset_stream(pool, limit), check)
+        pool = set(grading.support[key].elements) & zd - {ring.zero}
+        hit = first_hit(ideal_lattice(ring, pool), check)
         if hit is not None:
             witness = dict(hit[1])
             witness["component"] = list(key)
             millis = (time.perf_counter() - t0) * 1000
             return PropertyReport("t5", "false", witness, bounds, millis)
-    if bounded:
-        bounds["max_subset"] = cap
     millis = (time.perf_counter() - t0) * 1000
-    verdict = "true_up_to_bounds" if bounded else "true"
-    return PropertyReport("t5", verdict, None, bounds, millis)
+    return PropertyReport("t5", "true", None, bounds, millis)
 
 
 def verify_t7_bounded(

@@ -65,6 +65,15 @@ class UsageError(ValueError):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse exits 2 on a bad command line; here 2 means an internal
+    invariant failure, so usage errors exit 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _resolve_ring(arg: str, max_order: int) -> tuple[FiniteRing, Optional[str]]:
     """Ring from 'preset:NAME', a bare preset name, or a JSON file path."""
     if arg.startswith("preset:"):
@@ -252,10 +261,8 @@ def describe_ring(ring: FiniteRing, grading: Optional[Grading], preset: Optional
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _ArgumentParser(add_help=False)
     common.add_argument("--max-degree", type=int, default=3, help="polynomial degree bound")
-    common.add_argument("--max-subset", type=int, default=None,
-                        help="coefficient-set size cap (0 = unlimited; default: auto)")
     common.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
                         help="largest ring order constructions may materialize")
     common.add_argument("--jobs", type=int, default=1,
@@ -266,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--no-timing", action="store_true",
                         help="omit elapsed milliseconds from reports (stable output)")
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="emrings",
         description="Deciders with witness certificates for EM and EM-graded "
         "properties of finite commutative rings.",
@@ -295,10 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _caps_from_args(args) -> SearchCaps:
-    from .analysis import AUTO
-
-    max_subset = AUTO if args.max_subset is None else args.max_subset
-    return SearchCaps(max_subset=max_subset, max_degree=args.max_degree, jobs=args.jobs)
+    return SearchCaps(max_degree=args.max_degree, jobs=args.jobs)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

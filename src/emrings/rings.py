@@ -9,8 +9,9 @@ from the tables, so every decider downstream has a single code path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -156,7 +157,7 @@ class ElementSet:
     def __len__(self) -> int:
         return len(self.elements)
 
-    @property
+    @functools.cached_property
     def element_set(self) -> frozenset:
         return frozenset(self.elements)
 
@@ -380,26 +381,79 @@ def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     return Ideal(ring, tuple(int(x) for x in span), generators=gen_ids)
 
 
-def is_principal(ring: FiniteRing, ideal: Ideal) -> Optional[int]:
-    """Smallest p with <p> equal to the ideal, or None.
+def _membership_key(ring: FiniteRing, ids: np.ndarray) -> bytes:
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[ids] = True
+    return np.packbits(mask).tobytes()
 
-    A cached table of |pR| per element skips every p whose principal ideal
-    has the wrong size before any row is compared.
+
+def _principal(ring: FiniteRing, p: int) -> tuple[bytes, np.ndarray]:
+    """(membership key, sorted ids) of pR from a per-ring table.
+
+    Rows are filled on first use, one element at a time, and equal principal
+    ideals share one entry.
     """
-    sizes = ring._cache.get("row_image_sizes")
-    if sizes is None:
-        sizes = np.fromiter(
-            (len(np.unique(ring.mul_table[p])) for p in range(ring.order)),
-            dtype=np.int64,
-        )
-        ring._cache["row_image_sizes"] = sizes
-    target = np.fromiter(ideal.elements, dtype=np.int64)
+    table = ring._cache.setdefault("principal", {})
+    hit = table.get(p)
+    if hit is None:
+        ids = np.unique(ring.mul_table[p])
+        key = _membership_key(ring, ids)
+        shared = ring._cache.setdefault("principal_by_key", {})
+        hit = table[p] = shared.setdefault(key, (key, ids))
+    return hit
+
+
+def is_principal(ring: FiniteRing, ideal: Ideal) -> Optional[int]:
+    """Smallest p with <p> equal to the ideal, or None (p ranges over the
+    ideal, since p lies in pR)."""
+    key = _membership_key(ring, np.fromiter(ideal.elements, dtype=np.int64))
     for p in ideal.elements:
-        if sizes[p] != len(target):
-            continue
-        if np.array_equal(np.unique(ring.mul_table[p]), target):
+        if _principal(ring, p)[0] == key:
             return int(p)
     return None
+
+
+def ideal_lattice(
+    ring: FiniteRing, pool: Iterable[int], max_gens: Optional[int] = None
+) -> Iterator[Ideal]:
+    """Every distinct ideal generated by a nonempty subset of ``pool``, once.
+
+    Breadth-first by generator count: level k holds the ideals that k pool
+    elements generate and no fewer do.  Level 1 is the principal ideals pR in
+    ascending p; level k+1 joins each level-k ideal I, in discovery order,
+    with every p above the last generator of I in ascending order, as
+    I + pR.  Each ideal is yielded once, with ``generators`` the first path
+    that reaches it: the lexicographically first among its smallest
+    generating subsets of ``pool`` (README, algorithm notes).  ``max_gens``
+    stops after that many levels.
+    """
+    reps: list[tuple[int, np.ndarray]] = []  # smallest p of each distinct pR
+    seen: set[bytes] = set()
+    level = []
+    for p in sorted(set(int(x) for x in pool)):
+        key, ids = _principal(ring, p)
+        if key in seen:
+            continue  # I + pR = I + qR for the earlier q with qR = pR
+        seen.add(key)
+        reps.append((p, ids))
+        level.append((ids, (p,)))
+        yield Ideal(ring, ids, generators=(p,))
+    while level and (max_gens is None or len(level[0][1]) < max_gens):
+        parents, level = level, []
+        for ids, path in parents:
+            members = np.zeros(ring.order, dtype=bool)
+            members[ids] = True
+            for p, pr in reps:
+                if p <= path[-1] or members[p]:
+                    continue
+                # the sum of two additive subgroups is a subgroup: one gather
+                joined = np.unique(ring.add_table[np.ix_(ids, pr)])
+                key = _membership_key(ring, joined)
+                if key in seen:
+                    continue
+                seen.add(key)
+                level.append((joined, path + (p,)))
+                yield Ideal(ring, joined, generators=path + (p,))
 
 
 # -- subrings and isomorphisms ------------------------------------------------

@@ -6,9 +6,29 @@ search paths they exist to validate.
 
 from __future__ import annotations
 
-from typing import Optional
+import itertools
+from typing import Callable, Iterable, Optional
 
 import numpy as np
+
+
+def subset_stream(pool: Iterable[int]):
+    """Every nonempty subset of ``pool`` as an ascending tuple, by size and
+    then lexicographically: the coefficient-set enumeration the ideal
+    deciders reduce to one visit per generated ideal."""
+    ids = sorted(set(int(p) for p in pool))
+    for size in range(1, len(ids) + 1):
+        yield from itertools.combinations(ids, size)
+
+
+def first_subset(pool: Iterable[int], check: Callable) -> Optional[tuple[int, ...]]:
+    """First subset in :func:`subset_stream` order for which check() holds."""
+    return next((s for s in subset_stream(pool) if check(s)), None)
+
+
+def table_annihilator(ring, subset) -> np.ndarray:
+    """Mask of every t with t*s = 0 for all s in subset, off the table."""
+    return (ring.mul_table[list(subset)] == ring.zero).all(axis=0)
 
 
 def poly_annihilator_bruteforce(ring, f_coeffs, max_deg: int) -> Optional[tuple[int, ...]]:

@@ -23,16 +23,19 @@ from emrings.analysis import (
     verify_t5,
     verify_t7_bounded,
 )
-from emrings.construct import cyclic, idealization, poly_quotient_xn
+from emrings.construct import cyclic, direct_product, idealization, poly_quotient_xn
 from emrings.grading import (
+    check_t2_hypotheses,
     idealization_grading,
+    is_graded_ideal,
     trivial_grading,
     xn_grading,
 )
 from emrings.poly import poly_mul, polynomial
-from emrings.rings import annihilator, validate_ring, zero_divisors
+from emrings.presets import PRESETS, build_preset
+from emrings.rings import annihilator, ideal_generated, validate_ring, zero_divisors
 
-from oracles import content_bruteforce
+from oracles import content_bruteforce, first_subset, table_annihilator
 
 
 def test_content_search_examples(z4, e1, e1_grading):
@@ -234,14 +237,105 @@ def test_property_report_round_trip():
     assert stable["millis"] is None
 
 
-def test_caps_resolution(z4, e1):
-    big = idealization(cyclic(6))  # |Z| = 24 > 12
-    assert SearchCaps().subset_cap(z4) is None  # |Z(Z4)| = 2 <= 12
-    assert SearchCaps().subset_cap(e1) is None  # |Z(e1)| = 8 <= 12
-    assert SearchCaps().subset_cap(big) == 4
-    assert SearchCaps(max_subset=None).subset_cap(big) is None
-    assert SearchCaps(max_subset=0).subset_cap(big) is None
-    assert SearchCaps(max_subset=2).subset_cap(z4) == 2
+def _oracle_cases():
+    """Every preset of order <= 64, and the idealizations R(+)R of Z2, Z3,
+    Z4, Z6 and Z2 x Z2 with their Z2-gradings."""
+    names = [n for n in PRESETS if not n.startswith("e2-trunc")]  # orders 216, 7776
+    cases = [(name, *build_preset(name)) for name in names]
+    assert all(ring.order <= 64 for _, ring, _ in cases)
+    bases = {"Z2": cyclic(2), "Z3": cyclic(3), "Z4": cyclic(4), "Z6": cyclic(6),
+             "Z2xZ2": direct_product([cyclic(2), cyclic(2)])}
+    for label, base in bases.items():
+        ring = validate_ring(idealization(base))
+        cases.append((f"{label}(+){label}", ring, idealization_grading(ring)))
+    return cases
+
+
+def _nonzero_zero_divisors(ring, elems):
+    zd = set(zero_divisors(ring).elements) - {ring.zero}
+    return sorted(set(int(e) for e in elems) & zd)
+
+
+def _em_oracle(ring, elems):
+    """First coefficient set, in size-then-lexicographic order, of a
+    zero-divisor polynomial with no annihilating content."""
+    return first_subset(
+        _nonzero_zero_divisors(ring, elems),
+        lambda s: table_annihilator(ring, s).sum() > 1 and content_bruteforce(ring, s) is None,
+    )
+
+
+def _expect(report, subset, key):
+    if subset is None:
+        assert report.verdict == "true", report
+    else:
+        assert report.verdict == "false" and report.witness[key] == list(subset), report
+
+
+def test_em_deciders_match_subset_oracle():
+    for name, ring, grading in _oracle_cases():
+        # Z6(+)Z6 is EM and has 23 nonzero zero divisors: the subset oracle
+        # would visit 8.4 million sets.  c7 ties its EM property to Z6's,
+        # which is checked here as z6.
+        if name != "Z6(+)Z6":
+            _expect(is_em_ring(ring), _em_oracle(ring, range(ring.order)), "coefficients")
+        failed = None
+        for key in grading.support_keys:
+            elems = grading.support[key].elements
+            oracle = _em_oracle(ring, elems)
+            _expect(is_em_subset(ring, elems), oracle, "coefficients")
+            if oracle is not None and failed is None:
+                failed = (key, oracle)
+        graded = is_em_g_graded(ring, grading)
+        if failed is None:
+            assert graded.verdict == "true", name
+        else:
+            assert graded.witness["component"] == list(failed[0]), name
+            assert graded.witness["coefficients"] == list(failed[1]), name
+
+
+def test_ideal_checks_match_subset_oracle():
+    for name, ring, grading in _oracle_cases():
+        if check_t2_hypotheses(grading)[0]:
+            re = grading.identity_component().elements
+            re_mask = np.zeros(ring.order, dtype=bool)
+            re_mask[list(re)] = True
+
+            def leaks(s):
+                ann = table_annihilator(ring, s)
+                return (ann & re_mask).sum() == 1 and ann.sum() > 1
+
+            oracle = first_subset([e for e in re if e != ring.zero], leaks)
+            _expect(check_regular_embedding(grading), oracle, "tuple")
+
+        report = verify_t5(ring, grading)
+        if "skipped" in report.bounds:
+            continue
+        kills = ring.mul_table == ring.zero  # column c is Ann(c)
+        oracle = None
+        for key in grading.support_keys:
+            pool = _nonzero_zero_divisors(ring, grading.support[key].elements)
+            oracle = first_subset(pool, lambda s: (
+                table_annihilator(ring, s).sum() > 1
+                and not (kills == table_annihilator(ring, s)[:, None]).all(axis=0).any()
+            ))
+            if oracle is not None:
+                break
+        _expect(report, oracle, "coefficients")
+
+
+def test_bezout_matches_pair_oracle():
+    for name, ring, grading in _oracle_cases():
+        principal = {tuple(int(x) for x in np.unique(row)) for row in ring.mul_table}
+        witness = None
+        for pair in itertools.combinations(range(ring.order), 2):
+            ideal = ideal_generated(ring, pair)
+            if ideal.elements not in principal and is_graded_ideal(grading, ideal):
+                witness = {"generators": list(pair), "ideal_size": len(ideal)}
+                break
+        report = is_bezout_g_graded(ring, grading, 2)
+        assert report.verdict == ("true" if witness is None else "false"), name
+        assert report.witness == witness, name
 
 
 def test_first_hit_stops_at_first_hit_in_order():

@@ -98,6 +98,17 @@ def test_unknown_preset_is_usage_error(capsys):
     assert "unknown preset" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--ring", "z4", "--property", "nope"],
+    ["check", "--ring", "z4", "--property", "em", "--max-subset", "4"],  # removed flag
+])
+def test_bad_command_line_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_ring_file_and_spec_file(tmp_path, capsys, z6):
     ring_doc = tmp_path / "ring.json"
     ring_doc.write_text(json.dumps(z6.to_dict()))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emrings.construct import cyclic, direct_product
+from emrings.construct import build_spec, cyclic, direct_product
 from emrings.rings import (
     ElementSet,
     FiniteRing,
@@ -13,6 +13,7 @@ from emrings.rings import (
     divisor_solutions,
     find_isomorphism,
     ideal_generated,
+    ideal_lattice,
     idempotents,
     is_principal,
     regular_elements,
@@ -22,7 +23,10 @@ from emrings.rings import (
     zero_divisors,
 )
 
-from oracles import all_permutation_isomorphism
+from emrings.grading import homogeneous_elements
+from emrings.presets import build_preset
+
+from oracles import all_permutation_isomorphism, subset_stream
 
 
 def test_validate_z4_ok(z4):
@@ -104,7 +108,7 @@ def test_is_principal_examples(z4, z6, e1):
 
 def test_is_principal_matches_generated_ideals(z6, e1):
     # every ideal on <= 2 generators against a direct search for the
-    # smallest p with <p> equal to it (exercises the |pR| size prefilter)
+    # smallest p with <p> equal to it (exercises the principal-ideal table)
     for ring in (z6, e1):
         for gens in itertools.combinations_with_replacement(range(ring.order), 2):
             ideal = ideal_generated(ring, gens)
@@ -114,6 +118,39 @@ def test_is_principal_matches_generated_ideals(z6, e1):
                 None,
             )
             assert is_principal(ring, ideal) == expected, gens
+
+
+def _lattice_pools(z6, e1):
+    xn, xn_grading = build_preset("z4-xn-3")
+    prod, _ = build_preset("prod-e1sm")
+    # Z2[x,y,z]/(x,y,z)^2: its ideals inside (x,y,z) are the 16 subspaces,
+    # so the lattice reaches three generators
+    flat = build_spec({"kind": "monomialQuotient", "m": 2, "v": 3, "relations": [], "d": 1})
+    return [
+        (z6, range(6)),
+        (z6, zero_divisors(z6).elements),
+        (e1, zero_divisors(e1).elements),
+        (xn, homogeneous_elements(xn_grading).elements),
+        (prod, [z for z in zero_divisors(prod).elements if z != prod.zero]),
+        (flat, zero_divisors(flat).elements),
+    ]
+
+
+def test_ideal_lattice_matches_subset_closures(z6, e1):
+    """The enumerator yields each ideal (S), S a nonempty subset of the pool,
+    exactly once, in order of its lexicographically first smallest
+    generating subset, and reports that subset as its generators."""
+    for ring, pool in _lattice_pools(z6, e1):
+        first: dict[tuple, tuple] = {}
+        for subset in subset_stream(pool):
+            first.setdefault(ideal_generated(ring, subset).elements, subset)
+        lattice = list(ideal_lattice(ring, pool))
+        assert [i.elements for i in lattice] == list(first), ring
+        assert [i.generators for i in lattice] == list(first.values()), ring
+        for ideal in lattice:
+            ideal.validate()  # an ideal, and the closure of its generators
+        two = [i.generators for i in ideal_lattice(ring, pool, max_gens=2)]
+        assert two == [s for s in first.values() if len(s) <= 2], ring
 
 
 def test_partition_law_units_vs_zero_divisors(z4, z6, e1):
