@@ -22,11 +22,10 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .construct import localization
+from .construct import _decode_all, localization
 from .grading import (
     Grading,
     homogeneous_elements,
-    homogeneous_zero_divisors,
     is_graded_ideal,
     localization_grading,
 )
@@ -42,6 +41,7 @@ from .poly import (
 from .rings import (
     FiniteRing,
     InternalInvariantError,
+    _principal,
     annihilator_mask,
     ideal_lattice,
     units,
@@ -151,50 +151,39 @@ def first_hit(items: Iterable, check: Callable):
 # -- candidate machinery -------------------------------------------------------
 
 
-def _candidate_data(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero zero divisors (ascending) and their divisibility masks.
+def _candidate_data(ring: FiniteRing) -> tuple[np.ndarray, list[list[int]]]:
+    """The distinct principal ideals cR over c in Z(R)\\{0}, one row each,
+    in ascending order of their smallest generator.
 
-    Row r of the matrix marks membership in c_r * R, so step (1) of the
-    content search is a vectorized lookup across all candidates at once.
+    Returns their membership masks (row r marks c_r * R, so step (1) of the
+    content search is one vectorized lookup) and the generators of each
+    ideal, ascending.  The generators of one cR are associates, so they all
+    accept or all fail (README, principal-class reduction).
     """
     cached = ring._cache.get("content_candidates")
     if cached is None:
-        zd = np.fromiter(zero_divisors(ring).elements, dtype=np.int64)
-        cands = zd[zd != ring.zero]
-        div = np.zeros((len(cands), ring.order), dtype=bool)
-        for i, c in enumerate(cands):
-            div[i][ring.mul_table[c]] = True
-        cached = (cands, div)
+        by_key: dict[bytes, list[int]] = {}
+        for c in zero_divisors(ring).elements:
+            if c != ring.zero:
+                by_key.setdefault(_principal(ring, c)[0], []).append(c)
+        classes = list(by_key.values())
+        div = np.zeros((len(classes), ring.order), dtype=bool)
+        for row, members in zip(div, classes):
+            row[_principal(ring, members[0])[1]] = True
+        cached = (div, classes)
         ring._cache["content_candidates"] = cached
     return cached
-
-
-def _rep_map(ring: FiniteRing, c: int):
-    """(sorted values of c*R, smallest preimage per value, Ann(c) ids)."""
-    cache = ring._cache.setdefault("rep_maps", {})
-    hit = cache.get(c)
-    if hit is None:
-        row = ring.mul_table[c]
-        vals, first = np.unique(row, return_index=True)
-        ann_c = np.nonzero(row == ring.zero)[0]
-        hit = (vals, first, ann_c)
-        # keep roughly 16 MB of rep maps per ring
-        if len(cache) > max(64, (1 << 23) // max(ring.order, 1)):
-            cache.clear()
-        cache[c] = hit
-    return hit
 
 
 def _try_candidate(ring: FiniteRing, coeffs: Sequence[int], c: int) -> Optional[list[int]]:
     """Steps (2)-(3) for one candidate c: smallest representatives, then the
     acceptance test Ann({b_i} u Ann(c)) = {0}.  Returns the b_i on success."""
-    vals, first, ann_c = _rep_map(ring, c)
-    reps = []
-    for a in coeffs:
-        pos = int(np.searchsorted(vals, a))
-        if pos >= len(vals) or vals[pos] != a:
-            return None  # a not divisible by c
-        reps.append(int(first[pos]))
+    row = ring.mul_table[c]
+    hits = row == np.asarray(coeffs)[:, None]
+    if not hits.any(axis=1).all():
+        return None  # some coefficient is not divisible by c
+    reps = [int(b) for b in hits.argmax(axis=1)]
+    ann_c = np.flatnonzero(row == ring.zero)
     mask = annihilator_mask(ring, set(reps))
     ts = np.nonzero(mask)[0]
     ts = ts[ts != ring.zero]
@@ -214,27 +203,46 @@ def _witness_polynomial(ring: FiniteRing, c: int, reps: Sequence[int]) -> Polyno
     return Polynomial(ring, tuple(reps) + tuple(tail))
 
 
+def _homogeneous_content(
+    ring: FiniteRing, coeffs: Sequence[int], grading: Grading, classes: list[list[int]]
+) -> Optional[int]:
+    """Smallest homogeneous generator over the accepted classes among
+    ``classes``, whose first entry is the class of the content c found."""
+    c = classes[0][0]
+    if grading.degree_of(c) is not None:
+        return c
+    firsts = []
+    for members in classes:
+        h = next((g for g in members if grading.degree_of(g) is not None), None)
+        if h is not None:
+            firsts.append((h, members[0]))
+    hit = first_hit(sorted(firsts), lambda hg: _try_candidate(ring, coeffs, hg[1]))
+    return None if hit is None else hit[0][0]
+
+
 def find_annihilating_content(
     f: Polynomial,
     grading: Optional[Grading] = None,
 ) -> Optional[ContentWitness]:
-    """Search Z(R)\\{0} in canonical order for an annihilating content of f.
+    """Smallest annihilating content of f in Z(R)\\{0}, with its cofactor.
 
-    For each candidate c: (1) every coefficient must lie in c*R, (2) take the
-    smallest representative b_i of each divisor equation c*b = a_i, (3)
-    accept iff Ann({b_i} u Ann(c)) = {0}, returning the cofactor g made of
-    the b_i plus all of Ann(c)\\{0} appended at higher degrees.  When a
-    grading is supplied the scan continues over homogeneous candidates to
-    fill ``homogeneous_c``.  Returns None only after exhausting every
-    candidate.
+    Scans the distinct principal ideals cR, c in Z(R)\\{0}, in ascending
+    order of their smallest generator c, and tests only that c: (1) every
+    coefficient must lie in c*R, (2) take the smallest representative b_i
+    of each divisor equation c*b = a_i, (3) accept iff
+    Ann({b_i} u Ann(c)) = {0}, returning the cofactor g made of the b_i plus
+    all of Ann(c)\\{0} appended at higher degrees.  Associates accept
+    together (README, principal-class reduction), so the first accepted c
+    is the smallest accepted zero divisor.  When a grading is supplied,
+    ``homogeneous_c`` is the smallest homogeneous generator of an accepted
+    cR.  Returns None only after exhausting every class.
     """
     if not is_zero_divisor_poly(f)[0]:
         raise ValueError("content search requires a zero-divisor polynomial")
     ring = f.ring
-    cands, div = _candidate_data(ring)
+    div, classes = _candidate_data(ring)
     support = sorted(set(c for c in f.coeffs if c != ring.zero))
-    ok = div[:, support].all(axis=1) if support else np.ones(len(cands), dtype=bool)
-    viable = cands[ok]
+    viable = np.flatnonzero(div[:, support].all(axis=1))
 
     # the winning candidate depends only on the coefficient set (acceptance is
     # representative-invariant), so memoize it per ring
@@ -248,23 +256,16 @@ def find_annihilating_content(
         if reps is None:
             raise InternalInvariantError("cached content candidate stopped working")
     else:
-        hit = first_hit(viable, lambda c: _try_candidate(ring, f.coeffs, int(c)))
+        hit = first_hit((classes[k][0] for k in viable), lambda c: _try_candidate(ring, f.coeffs, c))
         if hit is None:
             set_cache[key] = None
             return None
-        c, reps = int(hit[0]), hit[1]
+        c, reps = hit
         set_cache[key] = c
     homogeneous_c = None
     if grading is not None:
-        hz = homogeneous_zero_divisors(grading).element_set
-        if c in hz:
-            homogeneous_c = c
-        else:
-            later = viable[viable > c]
-            hom = [int(x) for x in later if int(x) in hz]
-            hom_hit = first_hit(hom, lambda h: _try_candidate(ring, f.coeffs, h))
-            if hom_hit is not None:
-                homogeneous_c = int(hom_hit[0])
+        later = [classes[k] for k in viable if classes[k][0] >= c]
+        homogeneous_c = _homogeneous_content(ring, f.coeffs, grading, later)
     witness = ContentWitness(c=c, g=_witness_polynomial(ring, c, reps), homogeneous_c=homogeneous_c)
     witness.revalidate(f)
     return witness
@@ -353,14 +354,7 @@ def is_em_g_graded(
 
 def _tuple_block(pool: Sequence[int], length: int) -> np.ndarray:
     """All coefficient tuples over pool, ascending in mixed-radix order."""
-    arr = np.fromiter(pool, dtype=np.int64)
-    count = len(pool) ** length
-    digits = np.empty((count, length), dtype=np.int64)
-    rest = np.arange(count)
-    for i in range(length):
-        digits[:, i] = rest % len(pool)
-        rest //= len(pool)
-    return arr[digits]
+    return np.fromiter(pool, dtype=np.int64)[_decode_all([len(pool)] * length)]
 
 
 def _armendariz_scan(

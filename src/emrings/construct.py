@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .rings import FiniteRing, InternalInvariantError
+from .rings import FiniteRing, InternalInvariantError, _table_dtype
 
 DEFAULT_MAX_ORDER = 4096
 
@@ -108,7 +108,7 @@ def _vector_ring(
     radices = [base.order] * nb
     coords = _decode_all(radices)
     badd, bmul = base.add_table, base.mul_table
-    dt = np.uint16 if order <= 0xFFFF else np.uint32
+    dt = _table_dtype(order)
     add = np.empty((order, order), dtype=dt)
     mul = np.empty((order, order), dtype=dt)
     weights = np.asarray(np.cumprod([1] + radices[:-1]), dtype=np.int64)
@@ -328,7 +328,7 @@ def direct_product(
     order = int(np.prod(radices))
     _check_cap(order, max_order)
     coords = _decode_all(radices)
-    dt = np.uint16 if order <= 0xFFFF else np.uint32
+    dt = _table_dtype(order)
     add = np.empty((order, order), dtype=dt)
     mul = np.empty((order, order), dtype=dt)
     weights = np.asarray(np.cumprod([1] + radices[:-1]), dtype=np.int64)
@@ -437,7 +437,7 @@ def localization(
     spos[s_arr] = np.arange(ns)
     rep_a = np.fromiter((r[0] for r in reps), dtype=np.int64)
     rep_s = np.fromiter((r[1] for r in reps), dtype=np.int64)
-    dt = np.uint16 if order <= 0xFFFF else np.uint32
+    dt = _table_dtype(order)
     add = np.empty((order, order), dtype=dt)
     mul = np.empty((order, order), dtype=dt)
     for i in range(order):

@@ -18,7 +18,10 @@ from .rings import (
     FiniteRing,
     Ideal,
     InternalInvariantError,
+    _membership_key,
+    _principal,
     annihilator_mask,
+    idempotents,
     units,
     zero_divisors,
 )
@@ -368,20 +371,12 @@ def check_t10_condition(grading: Grading) -> tuple[bool, dict[int, Optional[int]
     """For each homogeneous a, find an idempotent b with Ann(a) = bR."""
     grading.require_validated()
     ring = grading.ring
-    diag = ring.mul_table.diagonal()
-    idem = [int(b) for b in np.nonzero(diag == np.arange(ring.order))[0]]
-    principal: dict[int, frozenset] = {
-        b: frozenset(int(x) for x in np.unique(ring.mul_table[b])) for b in idem
-    }
+    idem = idempotents(ring).elements
     ok = True
     witnesses: dict[int, Optional[int]] = {}
     for a in homogeneous_elements(grading).elements:
-        ann = frozenset(int(t) for t in np.nonzero(annihilator_mask(ring, [a]))[0])
-        found = None
-        for b in idem:
-            if principal[b] == ann:
-                found = b
-                break
+        ann = _membership_key(ring, np.flatnonzero(annihilator_mask(ring, [a])))
+        found = next((b for b in idem if _principal(ring, b)[0] == ann), None)
         witnesses[int(a)] = found
         if found is None:
             ok = False

@@ -396,7 +396,9 @@ def _principal(ring: FiniteRing, p: int) -> tuple[bytes, np.ndarray]:
     table = ring._cache.setdefault("principal", {})
     hit = table.get(p)
     if hit is None:
-        ids = np.unique(ring.mul_table[p])
+        mask = np.zeros(ring.order, dtype=bool)
+        mask[ring.mul_table[p]] = True
+        ids = np.flatnonzero(mask)
         key = _membership_key(ring, ids)
         shared = ring._cache.setdefault("principal_by_key", {})
         hit = table[p] = shared.setdefault(key, (key, ids))

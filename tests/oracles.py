@@ -64,9 +64,10 @@ def poly_annihilator_bruteforce(ring, f_coeffs, max_deg: int) -> Optional[tuple[
     return None
 
 
-def content_bruteforce(ring, f_coeffs) -> Optional[int]:
+def content_bruteforce(ring, f_coeffs, keep: Optional[Callable] = None) -> Optional[int]:
     """Smallest c in Z(R)\\{0} admitting ANY cofactor g with f = c*g and
-    Ann(C(g)) = 0, deg g <= deg f + |R|.
+    Ann(C(g)) = 0, deg g <= deg f + |R|; ``keep(c)``, when given, restricts
+    the candidates c.
 
     For fixed c the equation pins g's low coefficients to the divisor
     solution sets (all combinations are tried, no representative shortcut)
@@ -87,6 +88,8 @@ def content_bruteforce(ring, f_coeffs) -> Optional[int]:
     zd_mask = ann_all.copy()
     zd_mask[:, zero] = False
     zd = [int(c) for c in np.nonzero(zd_mask.any(axis=1))[0] if c != zero]
+    if keep is not None:
+        zd = [c for c in zd if keep(c)]
     for c in zd:
         row = mul[c]
         sols = [np.nonzero(row == a)[0] for a in f]

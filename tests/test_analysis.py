@@ -9,7 +9,7 @@ from emrings.analysis import (
     ContentWitness,
     PropertyReport,
     SearchCaps,
-    _rep_map,
+    _candidate_data,
     _try_candidate,
     check_regular_embedding,
     find_annihilating_content,
@@ -25,15 +25,24 @@ from emrings.analysis import (
 )
 from emrings.construct import cyclic, direct_product, idealization, poly_quotient_xn
 from emrings.grading import (
+    Grading,
     check_t2_hypotheses,
     idealization_grading,
     is_graded_ideal,
     trivial_grading,
+    validate_grading,
     xn_grading,
 )
 from emrings.poly import poly_mul, polynomial
 from emrings.presets import PRESETS, build_preset
-from emrings.rings import annihilator, ideal_generated, validate_ring, zero_divisors
+from emrings.rings import (
+    FiniteRing,
+    annihilator,
+    ideal_generated,
+    units,
+    validate_ring,
+    zero_divisors,
+)
 
 from oracles import content_bruteforce, first_subset, table_annihilator
 
@@ -139,7 +148,7 @@ def test_representative_independence(z4, e1):
             if annihilator(ring, set(f.coeffs)).elements == (ring.zero,):
                 continue
             for c in zd:
-                vals, first, ann_c = _rep_map(ring, c)
+                ann_c = np.flatnonzero(ring.mul_table[c] == ring.zero)
                 sols = []
                 divisible = True
                 for a in f.coeffs:
@@ -157,6 +166,76 @@ def test_representative_independence(z4, e1):
                     gens = set(combo) | tail
                     accepted = annihilator(ring, gens).elements == (ring.zero,)
                     assert accepted == (reduced is not None), (ring.order, coeffs, c, combo)
+
+
+def test_principal_classes_are_associates():
+    """The content search's candidate classes are the distinct principal
+    ideals cR over Z(R)\\{0}; each holds exactly the associates u*c of its
+    smallest generator c, and _try_candidate accepts all generators of a
+    class or none, on every set of one or two nonzero zero divisors."""
+    for name, ring, _ in _oracle_cases():
+        div, classes = _candidate_data(ring)
+        zd = _nonzero_zero_divisors(ring, range(ring.order))
+        assert sorted(g for members in classes for g in members) == zd, name
+        smallest = [members[0] for members in classes]
+        assert smallest == sorted(smallest), name
+        unit_ids = list(units(ring).elements)
+        ideals = set()
+        for row, members in zip(div, classes):
+            c = members[0]
+            principal = ideal_generated(ring, [c]).elements
+            assert tuple(np.flatnonzero(row)) == principal, (name, c)
+            assert members == sorted(set(int(x) for x in ring.mul_table[c, unit_ids])), (name, c)
+            ideals.add(principal)
+        assert len(ideals) == len(classes), name
+        for coeffs in itertools.chain(itertools.combinations(zd, 1), itertools.combinations(zd, 2)):
+            for members in classes:
+                verdicts = {_try_candidate(ring, coeffs, g) is None for g in members}
+                assert len(verdicts) == 1, (name, coeffs, members)
+
+
+def test_candidate_table_has_one_row_per_principal_ideal():
+    """e2-trunc-d2's 5183 nonzero zero divisors generate 138 ideals cR."""
+    ring, _ = build_preset("e2-trunc-d2")
+    div, classes = _candidate_data(ring)
+    assert div.shape == (138, ring.order)
+    assert sum(len(members) for members in classes) == 5183
+
+
+def _relabelled(ring, grading, seed):
+    """A copy of (ring, grading) under a seeded permutation of the nonzero
+    ids, so homogeneous elements no longer sit at the smallest ids."""
+    rng = np.random.default_rng(seed)
+    perm = np.concatenate([[ring.zero], 1 + rng.permutation(ring.order - 1)])
+    inv = np.argsort(perm)
+    copy = validate_ring(
+        FiniteRing(
+            perm[ring.add_table[np.ix_(inv, inv)]],
+            perm[ring.mul_table[np.ix_(inv, inv)]],
+            ring.zero,
+            int(perm[ring.one]),
+        )
+    )
+    comps = {k: [int(perm[e]) for e in es.elements] for k, es in grading.support.items()}
+    return copy, validate_grading(Grading(copy, grading.group, comps))
+
+
+@pytest.mark.parametrize("name", ["e1", "z4-xn-3", "z4-groupring-z2", "prod-e1sm"])
+def test_homogeneous_content_matches_oracle(name):
+    """homogeneous_c is the smallest homogeneous zero divisor the brute-force
+    oracle accepts, for every set of one or two nonzero zero divisors.  On
+    the relabelled copies of e1, z4-xn-3 and prod-e1sm some sets have a
+    homogeneous_c above c, which the presets' own ids never show."""
+    preset = build_preset(name)
+    for ring, grading in (preset, _relabelled(*preset, seed=6)):
+        homogeneous = set().union(*(es.elements for es in grading.support.values()))
+        zd = _nonzero_zero_divisors(ring, range(ring.order))
+        for coeffs in itertools.chain(itertools.combinations(zd, 1), itertools.combinations(zd, 2)):
+            if table_annihilator(ring, coeffs).sum() == 1:
+                continue  # regular
+            w = find_annihilating_content(polynomial(ring, coeffs), grading)
+            expected = content_bruteforce(ring, coeffs, keep=homogeneous.__contains__)
+            assert (None if w is None else w.homogeneous_c) == expected, (name, coeffs)
 
 
 def test_content_monotone_in_coefficient_set(e1):

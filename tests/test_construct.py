@@ -15,6 +15,7 @@ from emrings.construct import (
     product_project,
 )
 from emrings.grading import trivial_grading
+from emrings.presets import build_preset
 from emrings.rings import (
     find_isomorphism,
     idempotents,
@@ -80,7 +81,7 @@ def test_poly_quotient_z2_cubed():
 
 
 def test_monomial_quotient_basis_and_order():
-    ring = monomial_quotient(6, 2, [[1, 1]], 2, max_order=8192)
+    ring, _ = build_preset("e2-trunc-d2")  # monomial_quotient(6, 2, [[1, 1]], 2)
     assert ring.aux["basis_monomials"] == [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2)]
     assert ring.order == 6**5
 
