@@ -9,7 +9,7 @@ is exhaustive.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -46,9 +46,70 @@ def _decode_all(radices: Sequence[int]) -> np.ndarray:
     return coords
 
 
-def _encode(coords: np.ndarray, radices: Sequence[int]) -> np.ndarray:
-    weights = np.cumprod([1] + list(radices[:-1]))
-    return (coords * np.asarray(weights, dtype=np.int64)).sum(axis=1)
+def _weights(radices: Sequence[int]) -> list[int]:
+    """Place value of each little-endian digit, plus the order at the end."""
+    weights = [1]
+    for r in radices:
+        weights.append(weights[-1] * int(r))
+    return weights
+
+
+# Scratch bound of one row block in _digit_tables, in bytes per array.
+_BLOCK_BYTES = 1 << 20
+
+
+def _digit_tables(
+    radices: Sequence[int],
+    add_digits: Callable[[list, list], list],
+    mul_digits: Callable[[list, list], list],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Add and mul tables of a ring whose operations act digit by digit.
+
+    Element ids are little-endian mixed-radix digit vectors over ``radices``.
+    ``add_digits(a, b)`` and ``mul_digits(a, b)`` return, for every digit k,
+    digit k of the sum or product as an array broadcast over the digit index
+    arrays ``a`` and ``b`` (entries of ``a`` may be plain ints).  Each digit
+    is below its radix, so ``id = sum_k w_k d_k`` never carries, and each
+    output digit, scaled by its place value ``w_k``, is added by broadcasting
+    into a C-order digit view of the table.
+
+    Rows go in blocks that fix the fewest leading (most significant) row
+    digits for which one block of the table, and so every digit array of
+    the block, holds at most ``_BLOCK_BYTES`` (1 MiB).  A handful of such
+    arrays are alive at once; nothing of size order^2 is allocated apart
+    from the two tables.
+    """
+    m = len(radices)
+    weights = _weights(radices)
+    order = weights[-1]
+    dt = np.dtype(_table_dtype(order))
+    free = m
+    while free > 0 and weights[free] * order * dt.itemsize > _BLOCK_BYTES:
+        free -= 1
+    rows = weights[free]
+    # axes of a block view: free row digits, then all column digits, most
+    # significant first
+    shape = [radices[k] for k in reversed(range(free))] + [
+        radices[k] for k in reversed(range(m))
+    ]
+
+    def digit_axis(axis: int, radix: int) -> np.ndarray:
+        dims = [1] * len(shape)
+        dims[axis] = radix
+        return np.arange(radix).reshape(dims)
+
+    a_free = [digit_axis(free - 1 - k, radices[k]) for k in range(free)]
+    b = [digit_axis(free + m - 1 - k, radices[k]) for k in range(m)]
+    scale = [dt.type(w) for w in weights[:m]]
+    add = np.zeros((order, order), dtype=dt)
+    mul = np.zeros((order, order), dtype=dt)
+    for start in range(0, order, rows):
+        a = a_free + [(start // weights[k]) % radices[k] for k in range(free, m)]
+        for table, digits in ((add, add_digits), (mul, mul_digits)):
+            view = table[start : start + rows].reshape(shape)
+            for w, d in zip(scale, digits(a, b)):
+                view += d * w
+    return add, mul
 
 
 def _sum_label(terms: list[str]) -> str:
@@ -106,31 +167,26 @@ def _vector_ring(
     order = base.order**nb
     _check_cap(order, max_order)
     radices = [base.order] * nb
-    coords = _decode_all(radices)
     badd, bmul = base.add_table, base.mul_table
-    dt = _table_dtype(order)
-    add = np.empty((order, order), dtype=dt)
-    mul = np.empty((order, order), dtype=dt)
-    weights = np.asarray(np.cumprod([1] + radices[:-1]), dtype=np.int64)
-    acc = np.empty((order, nb), dtype=np.int64)
-    for a in range(order):
-        ca = coords[a]
-        out = np.empty((order, nb), dtype=np.int64)
-        for i in range(nb):
-            out[:, i] = badd[ca[i], coords[:, i]]
-        add[a] = out @ weights
-        acc[:] = base.zero
-        for i in range(nb):
-            if ca[i] == base.zero:
-                continue
-            for j in range(nb):
-                k = struct[i, j]
-                if k < 0:
-                    continue
-                acc[:, k] = badd[acc[:, k], bmul[ca[i], coords[:, j]]]
-        mul[a] = acc @ weights
-    one_vec = np.full(nb, base.zero, dtype=np.int64)
-    one_vec[0] = base.one
+    pairs = [
+        [(i, j) for i in range(nb) for j in range(nb) if struct[i, j] == k]
+        for k in range(nb)
+    ]
+
+    def add_digits(a: list, b: list) -> list:
+        return [badd[a[k], b[k]] for k in range(nb)]
+
+    def mul_digits(a: list, b: list) -> list:
+        out = []
+        for k in range(nb):
+            acc = base.zero
+            for i, j in pairs[k]:
+                acc = badd[acc, bmul[a[i], b[j]]]
+            out.append(acc)
+        return out
+
+    add, mul = _digit_tables(radices, add_digits, mul_digits)
+    weights = _weights(radices)
     labels = None
     if base.labels is not None:
         labels = [
@@ -141,13 +197,13 @@ def _vector_ring(
                     if c != base.zero
                 ]
             )
-            for vec in coords
+            for vec in _decode_all(radices)
         ]
     ring = FiniteRing(
         add,
         mul,
-        zero=int(np.full(nb, base.zero, dtype=np.int64) @ weights),
-        one=int(one_vec @ weights),
+        zero=base.zero * sum(weights[:nb]),
+        one=base.one + base.zero * sum(weights[1:nb]),
         labels=labels,
         provenance=provenance,
     )
@@ -327,27 +383,19 @@ def direct_product(
     radices = [f.order for f in factors]
     order = int(np.prod(radices))
     _check_cap(order, max_order)
-    coords = _decode_all(radices)
-    dt = _table_dtype(order)
-    add = np.empty((order, order), dtype=dt)
-    mul = np.empty((order, order), dtype=dt)
-    weights = np.asarray(np.cumprod([1] + radices[:-1]), dtype=np.int64)
-    for a in range(order):
-        ca = coords[a]
-        sa = np.empty((order, len(factors)), dtype=np.int64)
-        ma = np.empty((order, len(factors)), dtype=np.int64)
-        for i, f in enumerate(factors):
-            sa[:, i] = f.add_table[ca[i], coords[:, i]]
-            ma[:, i] = f.mul_table[ca[i], coords[:, i]]
-        add[a] = sa @ weights
-        mul[a] = ma @ weights
-    zero = int(np.asarray([f.zero for f in factors]) @ weights)
-    one = int(np.asarray([f.one for f in factors]) @ weights)
+    add, mul = _digit_tables(
+        radices,
+        lambda a, b: [f.add_table[ai, bi] for f, ai, bi in zip(factors, a, b)],
+        lambda a, b: [f.mul_table[ai, bi] for f, ai, bi in zip(factors, a, b)],
+    )
+    weights = _weights(radices)
+    zero = sum(w * f.zero for w, f in zip(weights, factors))
+    one = sum(w * f.one for w, f in zip(weights, factors))
     labels = None
     if all(f.labels is not None for f in factors):
         labels = [
             "(" + ",".join(f.label(int(c)) for f, c in zip(factors, vec)) + ")"
-            for vec in coords
+            for vec in _decode_all(radices)
         ]
     ring = FiniteRing(
         add,

@@ -114,6 +114,74 @@ def content_bruteforce(ring, f_coeffs, keep: Optional[Callable] = None) -> Optio
     return None
 
 
+def _digit_vectors(radices) -> np.ndarray:
+    """(N, k) little-endian digit vectors of all mixed-radix ids."""
+    n = int(np.prod(radices))
+    return np.stack(np.unravel_index(np.arange(n), radices[::-1]), axis=1)[:, ::-1]
+
+
+def vector_ring_rows(base, struct, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` (default all) of the add and mul tables of the
+    coefficient-vector ring over ``base`` whose basis products are ``struct``
+    (-1 for 0), built one row at a time with a running accumulator per
+    output coefficient and a matmul by the place values."""
+    from emrings.rings import _table_dtype
+
+    nb = len(struct)
+    order = base.order**nb
+    radices = [base.order] * nb
+    coords = _digit_vectors(radices)
+    badd, bmul = base.add_table, base.mul_table
+    dt = _table_dtype(order)
+    rows = range(order) if rows is None else list(rows)
+    add = np.empty((len(rows), order), dtype=dt)
+    mul = np.empty((len(rows), order), dtype=dt)
+    weights = np.asarray(np.cumprod([1] + radices[:-1]), dtype=np.int64)
+    acc = np.empty((order, nb), dtype=np.int64)
+    for r, a in enumerate(rows):
+        ca = coords[a]
+        out = np.empty((order, nb), dtype=np.int64)
+        for i in range(nb):
+            out[:, i] = badd[ca[i], coords[:, i]]
+        add[r] = out @ weights
+        acc[:] = base.zero
+        for i in range(nb):
+            if ca[i] == base.zero:
+                continue
+            for j in range(nb):
+                k = struct[i][j]
+                if k < 0:
+                    continue
+                acc[:, k] = badd[acc[:, k], bmul[ca[i], coords[:, j]]]
+        mul[r] = acc @ weights
+    return add, mul
+
+
+def product_rows(factors, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` (default all) of the add and mul tables of the direct
+    product of ``factors``, built one row at a time componentwise."""
+    from emrings.rings import _table_dtype
+
+    radices = [f.order for f in factors]
+    order = int(np.prod(radices))
+    coords = _digit_vectors(radices)
+    dt = _table_dtype(order)
+    rows = range(order) if rows is None else list(rows)
+    add = np.empty((len(rows), order), dtype=dt)
+    mul = np.empty((len(rows), order), dtype=dt)
+    weights = np.asarray(np.cumprod([1] + radices[:-1]), dtype=np.int64)
+    for r, a in enumerate(rows):
+        ca = coords[a]
+        sa = np.empty((order, len(factors)), dtype=np.int64)
+        ma = np.empty((order, len(factors)), dtype=np.int64)
+        for i, f in enumerate(factors):
+            sa[:, i] = f.add_table[ca[i], coords[:, i]]
+            ma[:, i] = f.mul_table[ca[i], coords[:, i]]
+        add[r] = sa @ weights
+        mul[r] = ma @ weights
+    return add, mul
+
+
 def all_permutation_isomorphism(r1, r2) -> Optional[list[int]]:
     """Ring isomorphism by scanning every permutation (orders <= 7 only)."""
     import itertools

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emrings.construct import (
+    _vector_ring,
     OrderCapError,
     build_spec,
     cyclic,
@@ -15,7 +19,7 @@ from emrings.construct import (
     product_project,
 )
 from emrings.grading import trivial_grading
-from emrings.presets import build_preset
+from emrings.presets import PRESETS, build_preset
 from emrings.rings import (
     find_isomorphism,
     idempotents,
@@ -24,7 +28,7 @@ from emrings.rings import (
     zero_divisors,
 )
 
-from oracles import all_permutation_isomorphism
+from oracles import all_permutation_isomorphism, product_rows, vector_ring_rows
 
 
 def test_cyclic_basic(z4, z6):
@@ -235,3 +239,129 @@ def test_every_small_constructor_output_validates(z4, z6):
     ]
     for ring in rings:
         validate_ring(ring)
+
+
+# -- digit-wise tables against the row-by-row oracle ----------------------------
+
+
+def _struct(ring) -> list[list[int]]:
+    """Basis product table of a coefficient-vector ring, restated from its
+    presentation: the basis index of b_i * b_j, or -1 when it is 0."""
+    prov = ring.provenance
+    kind = prov["kind"]
+    if kind == "idealization":
+        return [[0, 1], [1, -1]]
+    if kind == "polyQuotientXn":
+        n = prov["n"]
+        return [[i + j if i + j < n else -1 for j in range(n)] for i in range(n)]
+    if kind == "groupRing":
+        mods = prov["group"]
+        basis = ring.aux["group_elements"]
+        prod = lambda g, h: tuple((x + y) % m for x, y, m in zip(g, h, mods))
+    else:
+        assert kind == "monomialQuotient"
+        basis = ring.aux["basis_monomials"]
+        prod = lambda g, h: tuple(x + y for x, y in zip(g, h))
+    index = {g: k for k, g in enumerate(basis)}
+    return [[index.get(prod(g, h), -1) for h in basis] for g in basis]
+
+
+def _rowwise(ring, rows=None):
+    if ring.provenance["kind"] == "product":
+        return product_rows(ring.aux["factors"], rows)
+    return vector_ring_rows(ring.aux["base"], _struct(ring), rows)
+
+
+def _assert_tables_equal(expected, actual):
+    for want, got in zip(expected, actual):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+_E1 = lambda: poly_quotient_xn(cyclic(4), 2, var="Y")
+
+_CONSTRUCTIONS = {
+    **{f"Z{n}(+)Z{n}": (lambda n=n: idealization(cyclic(n))) for n in range(2, 9)},
+    "Z2[Z2^2]": lambda: group_ring(cyclic(2), [2, 2]),
+    "Z3[Z3]": lambda: group_ring(cyclic(3), [3]),
+    "Z2[Z4]": lambda: group_ring(cyclic(2), [4]),
+    "Z4[Z2]": lambda: group_ring(cyclic(4), [2]),
+    "Z2[Z2^3]": lambda: group_ring(cyclic(2), [2, 2, 2]),
+    "Z2[x]/(x^3)": lambda: poly_quotient_xn(cyclic(2), 3),
+    "Z4[x]/(x^3)": lambda: poly_quotient_xn(cyclic(4), 3),
+    "Z6[x]/(x^2)": lambda: poly_quotient_xn(cyclic(6), 2),
+    "Z3[x]/(x^4)": lambda: poly_quotient_xn(cyclic(3), 4),
+    "e1[X]/(X^2)": lambda: poly_quotient_xn(_E1(), 2, var="X"),
+    "(Z2xZ3)(+)(Z2xZ3)": lambda: idealization(direct_product([cyclic(2), cyclic(3)])),
+    "Z3[x,y]/(xy),d2": lambda: monomial_quotient(3, 2, [[1, 1]], 2),
+    "Z2[x,y,z]/(xy),d2": lambda: monomial_quotient(2, 3, [[1, 1, 0]], 2),
+    "Z4[x,y]/(xy),d2": lambda: monomial_quotient(4, 2, [[1, 1]], 2),
+    "Z2xZ3xZ4": lambda: direct_product([cyclic(2), cyclic(3), cyclic(4)]),
+    "(Z2(+)Z2)xZ3": lambda: direct_product([idealization(cyclic(2)), cyclic(3)]),
+    "Z4xe1": lambda: direct_product([cyclic(4), _E1()]),
+    **{
+        f"preset {name}": (lambda name=name: build_preset(name)[0])
+        for name, p in PRESETS.items()
+        if p.spec["kind"] != "cyclic" and name != "e2-trunc-d2"
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_CONSTRUCTIONS))
+def test_tables_match_rowwise_oracle(name):
+    ring = _CONSTRUCTIONS[name]()
+    _assert_tables_equal(_rowwise(ring), (ring.add_table, ring.mul_table))
+
+
+def test_square_zero_extension_tables_match_rowwise_oracle():
+    base, _ = build_preset("z4-xn-3")
+    ext = poly_quotient_xn(base, 2, var="X", max_order=4096)
+    _assert_tables_equal(_rowwise(ext), (ext.add_table, ext.mul_table))
+
+
+def test_e2_trunc_d2_rows_match_rowwise_oracle():
+    ring, _ = build_preset("e2-trunc-d2")
+    n = ring.order
+    sampled = np.random.default_rng(5).choice(np.arange(2, n - 1), 64, replace=False)
+    rows = [0, 1, n - 1] + sorted(int(r) for r in sampled)
+    _assert_tables_equal(
+        _rowwise(ring, rows), (ring.add_table[rows], ring.mul_table[rows])
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_vector_tables_match_rowwise_oracle_for_any_struct(data):
+    """Arbitrary basis products, so the result need not be a ring."""
+    base = cyclic(data.draw(st.integers(1, 6), label="n"))
+    nb = data.draw(st.integers(1, 3), label="nb")
+    struct = np.array(
+        data.draw(
+            st.lists(
+                st.lists(st.integers(-1, nb - 1), min_size=nb, max_size=nb),
+                min_size=nb,
+                max_size=nb,
+            ),
+            label="struct",
+        ),
+        dtype=np.int64,
+    )
+    ring = _vector_ring(base, struct, [f"b{i}" for i in range(nb)], {}, 4096)
+    _assert_tables_equal(
+        vector_ring_rows(base, struct), (ring.add_table, ring.mul_table)
+    )
+
+
+def test_table_build_scratch_stays_small():
+    """The order-4096 square-zero extension allocates at most 8 MiB beyond
+    its two 32 MiB tables, so no order^2 intermediate is ever built."""
+    base, _ = build_preset("z4-xn-3")
+    tracemalloc.start()
+    try:
+        ext = poly_quotient_xn(base, 2, var="X", max_order=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = ext.add_table.nbytes + ext.mul_table.nbytes
+    assert ext.order == 4096
+    assert peak - tables <= 8 << 20
