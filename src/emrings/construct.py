@@ -448,6 +448,9 @@ def localization(
     from .grading import homogeneous_elements  # deferred: grading imports rings only
 
     s_ids = sorted(set(int(s) for s in s_elems))
+    bad = [s for s in s_ids if not 0 <= s < ring.order]
+    if bad:
+        raise ValueError(f"multiplicative set id {bad[0]} is out of range for order {ring.order}")
     if ring.one not in s_ids:
         raise ValueError("multiplicative set must contain 1")
     s_arr = np.fromiter(s_ids, dtype=np.int64)

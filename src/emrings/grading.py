@@ -133,9 +133,20 @@ class Grading:
         }
 
 
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, int) for v in value)
+
+
 def grading_from_dict(ring: FiniteRing, doc: Mapping) -> Grading:
+    comps = doc.get("components")
+    if not (_int_list(doc.get("moduli")) and isinstance(comps, list) and all(
+        isinstance(c, Mapping) and _int_list(c.get("degree")) and _int_list(c.get("elements"))
+        for c in comps
+    )):
+        raise GradingError("malformed-document", "expected {moduli: [int], components: "
+                           "[{degree: [int], elements: [int]}]}")
     group = GradingGroup(tuple(doc["moduli"]))
-    comps = {tuple(c["degree"]): c["elements"] for c in doc["components"]}
+    comps = {tuple(c["degree"]): c["elements"] for c in comps}
     return validate_grading(Grading(ring, group, comps))
 
 

@@ -94,17 +94,6 @@ class _EntryState:
                 self._cache["ext"] = (ext, lifted)
         return self._cache["ext"]
 
-    def graded_quotient(self, cap: int):
-        if "hT" not in self._cache:
-            ring = self.entry.ring
-            if ring.order > cap:
-                self._cache["hT"] = None
-            else:
-                hreg = homogeneous_regular_elements(self.entry.grading)
-                loc = localization(ring, self.entry.grading, hreg, max_order=cap)
-                self._cache["hT"] = (loc, localization_grading(loc))
-        return self._cache["hT"]
-
 
 def _row(
     tag: str,
@@ -157,7 +146,6 @@ def theorem_suite(
     bezout_generators: int = 2,
     localization_cap: int = 8192,
     extension_cap: int = 4200,
-    t7_degrees: tuple[int, int] = (1, 1),
 ) -> list[PropertyReport]:
     """Run every catalog implication on every corpus entry.
 
@@ -168,7 +156,7 @@ def theorem_suite(
     for entry in entries:
         state = _EntryState(entry, caps)
         reports.extend(_entry_rows(state, caps, armendariz_degree, bezout_generators,
-                                   localization_cap, extension_cap, t7_degrees))
+                                   localization_cap, extension_cap))
     return reports
 
 
@@ -179,7 +167,6 @@ def _entry_rows(
     bezout_generators: int,
     localization_cap: int,
     extension_cap: int,
-    t7_degrees: tuple[int, int],
 ) -> list[PropertyReport]:
     entry = state.entry
     ring, grading = entry.ring, entry.grading
@@ -362,27 +349,20 @@ def _entry_rows(
     (hyp, concl), ms = _timed(l2)
     rows.append(_row("l2", entry, hyp, concl, millis=ms))
 
-    # t5: hT(R) EM-graded -> coefficient-set annihilators are principal-like
-    if ring.order > localization_cap:
-        rows.append(_row("t5", entry, None, None, skipped="order cap"))
-    else:
-        report, ms = _timed(lambda: verify_t5(ring, grading, caps))
-        rows.append(
-            _row("t5", entry, True, report.holds, detail=dict(report.bounds), millis=ms)
-        )
+    # t5: hT(R) EM-graded -> coefficient-set annihilators are principal-like;
+    # hT(R) is R itself, so the hypothesis is the entry's EM-graded verdict
+    report, ms = _timed(lambda: verify_t5(ring, grading, caps, em_report=state.em_graded()))
+    rows.append(_row("t5", entry, True, report.holds, detail=dict(report.bounds), millis=ms))
 
-    # t7: EM-graded survives one polynomial extension (bounded bivariate check)
+    # t7: EM-graded survives one polynomial extension (one check per ideal)
     def t7():
         hyp = state.em_graded().holds
         if not hyp:
             return hyp, None
-        rep = verify_t7_bounded(
-            ring, grading, caps, degree_caps=t7_degrees, em_report=state.em_graded()
-        )
-        return hyp, rep.holds
+        return hyp, verify_t7_bounded(ring, grading, caps, em_report=state.em_graded()).holds
 
     (hyp, concl), ms = _timed(t7)
-    rows.append(_row("t7", entry, hyp, concl, detail={"degrees": list(t7_degrees)}, millis=ms))
+    rows.append(_row("t7", entry, hyp, concl, millis=ms))
 
     return rows
 

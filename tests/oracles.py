@@ -202,3 +202,21 @@ def all_permutation_isomorphism(r1, r2) -> Optional[list[int]]:
         if np.array_equal(phi[m1], m2[phi[:, None], phi[None, :]]):
             return list(perm)
     return None
+
+
+def t7_grid_failure(ring, grading, check: Callable, degrees=(1, 1)) -> Optional[dict]:
+    """First failure of ``check`` over every homogeneous bivariate grid of
+    x-degree <= dx and y-degree <= dy with entries from one support
+    component, scanned component by component in ``itertools.product``
+    order: the grid enumeration the per-ideal t7 check replaces."""
+    from emrings.poly import bivariate
+
+    dx, dy = degrees
+    for key in grading.support_keys:
+        pool = grading.support[key].elements
+        for grid in itertools.product(pool, repeat=(dx + 1) * (dy + 1)):
+            rows = [grid[r * (dx + 1) : (r + 1) * (dx + 1)] for r in range(dy + 1)]
+            failure = check(bivariate(ring, rows))
+            if failure is not None:
+                return failure
+    return None

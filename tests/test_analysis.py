@@ -11,9 +11,12 @@ from emrings.analysis import (
     SearchCaps,
     _candidate_data,
     _try_candidate,
+    check_bivariate_content,
     check_regular_embedding,
     find_annihilating_content,
     first_hit,
+    homogeneous_regular_elements,
+    ideal_grid,
     is_armendariz,
     is_armendariz_g_graded,
     is_bezout_g_graded,
@@ -23,28 +26,36 @@ from emrings.analysis import (
     verify_t5,
     verify_t7_bounded,
 )
-from emrings.construct import cyclic, direct_product, idealization, poly_quotient_xn
+from emrings.construct import (
+    cyclic,
+    direct_product,
+    idealization,
+    localization,
+    poly_quotient_xn,
+)
 from emrings.grading import (
     Grading,
     check_t2_hypotheses,
     idealization_grading,
     is_graded_ideal,
+    localization_grading,
     trivial_grading,
     validate_grading,
     xn_grading,
 )
-from emrings.poly import poly_mul, polynomial
+from emrings.poly import bivariate, content_ideal, kronecker_flatten, poly_mul, polynomial
 from emrings.presets import PRESETS, build_preset
 from emrings.rings import (
     FiniteRing,
     annihilator,
     ideal_generated,
+    ideal_lattice,
     units,
     validate_ring,
     zero_divisors,
 )
 
-from oracles import content_bruteforce, first_subset, table_annihilator
+from oracles import content_bruteforce, first_subset, t7_grid_failure, table_annihilator
 
 
 def test_content_search_examples(z4, e1, e1_grading):
@@ -302,9 +313,65 @@ def test_verify_t5(e1, e1_grading):
 
 def test_verify_t7(e1, e1_grading):
     rep = verify_t7_bounded(e1, e1_grading)
-    assert rep.holds
+    assert rep.verdict == "true" and rep.bounds == {}
     with pytest.raises(ValueError):
         verify_t7_bounded(e1, e1_grading, em_report=PropertyReport("em-graded", "false"))
+
+
+def test_t7_matches_grid_oracle():
+    """The per-ideal t7 verdict agrees with the old scan of every grid at x
+    and y degree <= 1, on every preset of order <= 64."""
+    for name in PRESETS:
+        ring, grading = build_preset(name)
+        if ring.order > 64:
+            continue
+        failure = t7_grid_failure(ring, grading, check_bivariate_content, (1, 1))
+        report = verify_t7_bounded(ring, grading)
+        assert report.verdict == ("true" if failure is None else "false"), name
+
+
+def test_ideal_grid_packs_several_rows(e1):
+    f = ideal_grid(e1, (2, 4, 8))
+    assert [row.coeffs for row in f.rows] == [(2, 4), (8,)]
+    flat, offsets, widths = kronecker_flatten(f)
+    assert flat.coeffs == (2, 4, 8) and offsets == (0, 2) and widths == (2, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_t7_check_depends_only_on_the_coefficient_ideal(data):
+    """On any homogeneous grid up to 3x3 the t7 check passes, and the grid's
+    content is the content of its coefficient ideal's laid-out generators."""
+    ring, grading = build_preset(data.draw(st.sampled_from(["e1", "prod-e1sm", "z4-xn-3"])))
+    key = data.draw(st.sampled_from(grading.support_keys))
+    elems = grading.support[key].elements
+    ny, nx = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    row = st.lists(st.sampled_from(elems), min_size=nx, max_size=nx)
+    rows = [data.draw(row) for _ in range(ny)]
+    f = bivariate(ring, rows)
+    assert check_bivariate_content(f) is None, str(f)
+    if f.is_zero or table_annihilator(ring, f.coefficient_ids()).sum() == 1:
+        return  # zero or regular: no content to compare
+    flat = kronecker_flatten(f)[0]
+    pool = set(elems) & zero_divisors(ring).element_set - {ring.zero}
+    ideal = content_ideal(flat).elements
+    gens = next(j.generators for j in ideal_lattice(ring, pool) if j.elements == ideal)
+    laid_out = kronecker_flatten(ideal_grid(ring, gens))[0]
+    assert find_annihilating_content(flat).c == find_annihilating_content(laid_out).c, str(f)
+
+
+def test_t5_hypothesis_matches_localization():
+    """hT(R) is R: verify_t5's hypothesis equals EM-gradedness of the
+    localization at the homogeneous units, on every preset of order <= 216
+    under its canonical and its trivial grading."""
+    for name in PRESETS:
+        ring, canonical = build_preset(name)
+        if ring.order > 216:
+            continue
+        for grading in (canonical, trivial_grading(ring)):
+            loc = localization(ring, grading, homogeneous_regular_elements(grading))
+            expected = is_em_g_graded(loc, localization_grading(loc)).holds
+            assert ("skipped" not in verify_t5(ring, grading).bounds) == expected, name
 
 
 def test_property_report_round_trip():

@@ -137,6 +137,20 @@ def test_bad_ring_file(tmp_path, capsys):
     code, _, err = run(capsys, "describe", "--ring", str(bad))
     assert code == 1
 
+    # a localization naming an element id the base ring does not have
+    spec = tmp_path / "loc.json"
+    spec.write_text(json.dumps(
+        {"kind": "localization", "base": {"kind": "cyclic", "n": 6}, "s": [1, 9]}
+    ))
+    code, _, err = run(capsys, "describe", "--ring", str(spec))
+    assert code == 1 and "error:" in err and "id 9 is out of range" in err
+
+    # a grading whose components are not a list of {degree, elements} objects
+    grading = tmp_path / "grading.json"
+    grading.write_text(json.dumps({"moduli": [2], "components": {"0": [0, 1]}}))
+    code, _, err = run(capsys, "describe", "--ring", "z4", "--grading", str(grading))
+    assert code == 1 and "error:" in err and "malformed-document" in err
+
 
 def test_poly_literal_parser(e1):
     assert parse_poly_literal(e1, "[2,4]").coeffs == (2, 4)

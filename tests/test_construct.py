@@ -207,6 +207,9 @@ def test_localization_validates_input(z6):
         localization(z6, g, [3])  # misses 1
     with pytest.raises(ValueError):
         localization(z6, g, [1, 2])  # 2*2=4 missing
+    for s, bad in (([1, 9], 9), ([1, -1], -1)):
+        with pytest.raises(ValueError, match=f"id {bad} is out of range"):
+            localization(z6, g, s)
 
 
 def test_build_spec_round_trip():

@@ -256,6 +256,18 @@ def test_grading_interchange_round_trip(e1, e1_grading):
     }
 
 
+@pytest.mark.parametrize("doc", [
+    {"moduli": [2], "components": {"0": [0, 1]}},
+    {"moduli": [2], "components": [[0, 1]]},
+    {"moduli": [2], "components": [{"degree": 0, "elements": [0, 1]}]},
+    {"moduli": [2], "components": [{"degree": [0]}]},
+    {"moduli": 2, "components": []},
+])
+def test_malformed_grading_document(z4, doc):
+    with pytest.raises(GradingError, match="malformed-document"):
+        grading_from_dict(z4, doc)
+
+
 def test_decompose_resums(e1, e1_grading):
     for a in range(16):
         total = 0
