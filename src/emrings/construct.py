@@ -432,17 +432,15 @@ def product_embed(ring: FiniteRing, i: int, elem: int) -> int:
 # -- localization -----------------------------------------------------------------
 
 
-def localization(
-    ring: FiniteRing,
-    grading,
-    s_elems: Iterable[int],
-    max_order: int = DEFAULT_MAX_ORDER,
-):
+def localization(ring: FiniteRing, grading, s_elems: Iterable[int]):
     """S^-1 R for a multiplicatively closed S inside the homogeneous elements.
 
     Classes of pairs (a, s) under (a,s) ~ (b,t)  iff  u(ta - sb) = 0 for some
-    u in S.  Returns the localized ring; ``aux['canonical_map']`` maps each
-    ambient element a to the class of a/1 and ``aux['class_pairs']`` lists the
+    u in S, found through the corner ring eR (README, "Localization
+    reduction"): with e the idempotent power of the product of S, the class
+    of (a, s) is e*a*(e*s)^-1, and |S^-1 R| = |eR| <= |R| needs no order cap.
+    Returns the localized ring; ``aux['canonical_map']`` maps each ambient
+    element a to the class of a/1 and ``aux['class_pairs']`` lists the
     first-seen representative pair per class.
     """
     from .grading import homogeneous_elements  # deferred: grading imports rings only
@@ -462,50 +460,48 @@ def localization(
         raise ValueError("multiplicative set must consist of homogeneous elements")
     n = ring.order
     ns = len(s_ids)
-    torsion = (ring.mul_table[s_arr, :] == ring.zero).any(axis=0)
-    neg = ring.neg_table
+    rmul = ring.mul_table
 
+    # e: the idempotent power of the product of S
+    p = ring.one
+    for s in s_ids:
+        p = ring.mul(p, s)
+    e = p
+    while ring.mul(e, e) != e:
+        e = ring.mul(e, p)
+    # class value e*a*(e*s)^-1 of every pair; (e*s)^-1 is the x in eR with (e*s)*x = e
+    corner = np.unique(rmul[e])
+    inv = corner[np.argmax(rmul[np.ix_(rmul[e, s_arr], corner)] == e, axis=1)]
+    value = rmul[rmul[e][:, None], inv[None, :]].ravel()
+
+    # classes numbered by their first pair in (a, s) order
     pair_a = np.repeat(np.arange(n, dtype=np.int64), ns)
     pair_s = np.tile(s_arr, n)
-    pair_class = np.full(n * ns, -1, dtype=np.int64)
-    reps: list[tuple[int, int]] = []
-    remaining = np.arange(n * ns, dtype=np.int64)
-    while remaining.size:
-        p0 = int(remaining[0])
-        b, t = int(pair_a[p0]), int(pair_s[p0])
-        ta = ring.mul_table[t, pair_a[remaining]].astype(np.int64)
-        sb = ring.mul_table[pair_s[remaining], b].astype(np.int64)
-        diff = ring.add_table[ta, neg[sb]]
-        match = torsion[diff]
-        cls = len(reps)
-        pair_class[remaining[match]] = cls
-        reps.append((b, t))
-        remaining = remaining[~match]
-    order = len(reps)
-    _check_cap(order, max_order)
+    vals, first, inverse = np.unique(value, return_index=True, return_inverse=True)
+    by_first = np.argsort(first, kind="stable")
+    pair_class = np.argsort(by_first)[inverse]
+    reps = [(int(pair_a[i]), int(pair_s[i])) for i in first[by_first]]
+    vals = vals[by_first]
 
-    spos = np.full(n, -1, dtype=np.int64)
-    spos[s_arr] = np.arange(ns)
-    rep_a = np.fromiter((r[0] for r in reps), dtype=np.int64)
-    rep_s = np.fromiter((r[1] for r in reps), dtype=np.int64)
+    # R's tables restricted to eR, renumbered by class, in row blocks
+    order = len(vals)
     dt = _table_dtype(order)
+    of = np.zeros(n, dtype=dt)
+    of[vals] = np.arange(order)
     add = np.empty((order, order), dtype=dt)
     mul = np.empty((order, order), dtype=dt)
-    for i in range(order):
-        ai, si = int(rep_a[i]), int(rep_s[i])
-        num = ring.add_table[
-            ring.mul_table[ai, rep_s].astype(np.int64),
-            ring.mul_table[si, rep_a].astype(np.int64),
-        ].astype(np.int64)
-        den = ring.mul_table[si, rep_s].astype(np.int64)
-        add[i] = pair_class[num * ns + spos[den]]
-        num = ring.mul_table[ai, rep_a].astype(np.int64)
-        mul[i] = pair_class[num * ns + spos[den]]
-    canonical = pair_class[np.arange(n, dtype=np.int64) * ns + spos[ring.one]]
+    # a block's three scratch arrays (rows of R, their eR columns, their
+    # class ids) hold under _BLOCK_BYTES together
+    rows = max(1, _BLOCK_BYTES // (4 * n * rmul.itemsize))
+    for start in range(0, order, rows):
+        block = vals[start : start + rows]
+        for dest, src in ((add, ring.add_table), (mul, rmul)):
+            dest[start : start + rows] = of[src[block].take(vals, axis=1)]
+    canonical = pair_class[np.arange(n, dtype=np.int64) * ns + s_ids.index(ring.one)]
     labels = None
     if ring.labels is not None:
         labels = [
-            ring.label(int(a)) if s == ring.one else f"{ring.label(int(a))}/{ring.label(int(s))}"
+            ring.label(a) if s == ring.one else f"{ring.label(a)}/{ring.label(s)}"
             for a, s in reps
         ]
     out = FiniteRing(
@@ -565,5 +561,5 @@ def build_spec(doc: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
 
         base = build_spec(doc["base"], max_order=max_order)
         grading = grading_for_spec(base, doc.get("grading", "canonical"))
-        return localization(base, grading, doc["s"], max_order=max_order)
+        return localization(base, grading, doc["s"])
     raise ValueError(f"unknown construction kind {kind!r}")

@@ -8,7 +8,6 @@ annihilator search in the test suite rather than trusted.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -169,14 +168,14 @@ def content_is_graded(grading: Grading, f: Polynomial) -> bool:
 
 
 def factor_by_content_generator(f: Polynomial, a: int) -> Optional[Polynomial]:
-    """Given C(f) = <a>, search g with f = a*g and C(g) = R.
+    """Given C(f) = <a>, find g with f = a*g and C(g) = R.
 
-    Tries every choice of per-coefficient quotients, each augmented with all
-    of Ann(a) appended as higher-degree coefficients (the same augmentation
-    the content search uses, and exhaustive for the same reason: any valid g
-    has quotients in those solution sets and tail entries inside Ann(a)).
-    Returns None only if nothing works, which signals an internal error since
-    a valid g always exists when C(f) = <a>.
+    Takes the smallest quotient of each coefficient, with all of Ann(a)
+    appended as higher-degree coefficients (the content search's tail).  By
+    the README's ideal reduction (c), every choice of quotients generates
+    (C(f) : a) together with Ann(a), so the first choice works iff any does.
+    Returns None only if it fails, which signals an internal error since a
+    valid g always exists when C(f) = <a>.
     """
     ring = f.ring
     if f.is_zero:
@@ -188,10 +187,9 @@ def factor_by_content_generator(f: Polynomial, a: int) -> Optional[Polynomial]:
         raise ValueError("some coefficient is not divisible by a")
     ann = annihilator_mask(ring, [a])
     tail = [int(t) for t in np.nonzero(ann)[0] if t != ring.zero]
-    full = tuple(range(ring.order))
-    for combo in itertools.product(*sols):
-        if ideal_generated(ring, set(combo) | set(tail)).elements == full:
-            return Polynomial(ring, tuple(combo) + tuple(tail))
+    first = tuple(s[0] for s in sols)
+    if ideal_generated(ring, set(first) | set(tail)).elements == tuple(range(ring.order)):
+        return Polynomial(ring, first + tuple(tail))
     return None
 
 

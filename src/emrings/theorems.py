@@ -232,7 +232,7 @@ def _entry_rows(
                 return hyp, None
             sets = [[ring.one], homogeneous_regular_elements(grading)]
             for s in sets:
-                loc = localization(ring, grading, s, max_order=localization_cap)
+                loc = localization(ring, grading, s)
                 lgr = localization_grading(loc)
                 if not is_em_g_graded(loc, lgr, caps).holds:
                     return hyp, False

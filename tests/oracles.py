@@ -220,3 +220,87 @@ def t7_grid_failure(ring, grading, check: Callable, degrees=(1, 1)) -> Optional[
             if failure is not None:
                 return failure
     return None
+
+
+def localization_classes(ring, s_ids) -> dict:
+    """S^-1 R by the pairwise class search the corner-ring reduction
+    replaces: each pass takes the first unclassified pair (b, t) and gives
+    its class to every remaining pair (a, s) with u(ta - sb) = 0 for some u
+    in S; the tables are then filled one class at a time from the
+    representative pairs.  ``s_ids`` is S, sorted."""
+    from emrings.rings import _table_dtype
+
+    s_arr = np.fromiter(s_ids, dtype=np.int64)
+    n = ring.order
+    ns = len(s_ids)
+    torsion = (ring.mul_table[s_arr, :] == ring.zero).any(axis=0)
+    neg = ring.neg_table
+
+    pair_a = np.repeat(np.arange(n, dtype=np.int64), ns)
+    pair_s = np.tile(s_arr, n)
+    pair_class = np.full(n * ns, -1, dtype=np.int64)
+    reps: list[tuple[int, int]] = []
+    remaining = np.arange(n * ns, dtype=np.int64)
+    while remaining.size:
+        p0 = int(remaining[0])
+        b, t = int(pair_a[p0]), int(pair_s[p0])
+        ta = ring.mul_table[t, pair_a[remaining]].astype(np.int64)
+        sb = ring.mul_table[pair_s[remaining], b].astype(np.int64)
+        diff = ring.add_table[ta, neg[sb]]
+        match = torsion[diff]
+        cls = len(reps)
+        pair_class[remaining[match]] = cls
+        reps.append((b, t))
+        remaining = remaining[~match]
+    order = len(reps)
+
+    spos = np.full(n, -1, dtype=np.int64)
+    spos[s_arr] = np.arange(ns)
+    rep_a = np.fromiter((r[0] for r in reps), dtype=np.int64)
+    rep_s = np.fromiter((r[1] for r in reps), dtype=np.int64)
+    dt = _table_dtype(order)
+    add = np.empty((order, order), dtype=dt)
+    mul = np.empty((order, order), dtype=dt)
+    for i in range(order):
+        ai, si = int(rep_a[i]), int(rep_s[i])
+        num = ring.add_table[
+            ring.mul_table[ai, rep_s].astype(np.int64),
+            ring.mul_table[si, rep_a].astype(np.int64),
+        ].astype(np.int64)
+        den = ring.mul_table[si, rep_s].astype(np.int64)
+        add[i] = pair_class[num * ns + spos[den]]
+        num = ring.mul_table[ai, rep_a].astype(np.int64)
+        mul[i] = pair_class[num * ns + spos[den]]
+    canonical = pair_class[np.arange(n, dtype=np.int64) * ns + spos[ring.one]]
+    labels = None
+    if ring.labels is not None:
+        labels = [
+            ring.label(int(a)) if s == ring.one else f"{ring.label(int(a))}/{ring.label(int(s))}"
+            for a, s in reps
+        ]
+    return {
+        "add": add,
+        "mul": mul,
+        "pair_class": pair_class,
+        "class_pairs": reps,
+        "canonical_map": canonical,
+        "labels": labels,
+    }
+
+
+def factor_by_content_product(f, a):
+    """g with f = a*g and C(g) = R by trying every choice of per-coefficient
+    quotients in ``itertools.product`` order, each followed by all of
+    Ann(a)\\{0}; None when no choice works.  Requires C(f) = (a)."""
+    from emrings.poly import Polynomial
+    from emrings.rings import ideal_generated
+
+    ring = f.ring
+    row = ring.mul_table[a]
+    sols = [[int(b) for b in np.nonzero(row == c)[0]] for c in f.coeffs]
+    tail = [int(t) for t in np.nonzero(row == ring.zero)[0] if t != ring.zero]
+    full = tuple(range(ring.order))
+    for combo in itertools.product(*sols):
+        if ideal_generated(ring, set(combo) | set(tail)).elements == full:
+            return Polynomial(ring, tuple(combo) + tuple(tail))
+    return None

@@ -18,7 +18,8 @@ from emrings.construct import (
     product_embed,
     product_project,
 )
-from emrings.grading import trivial_grading
+from emrings.analysis import homogeneous_regular_elements
+from emrings.grading import grading_for_spec, homogeneous_elements, trivial_grading
 from emrings.presets import PRESETS, build_preset
 from emrings.rings import (
     find_isomorphism,
@@ -28,7 +29,12 @@ from emrings.rings import (
     zero_divisors,
 )
 
-from oracles import all_permutation_isomorphism, product_rows, vector_ring_rows
+from oracles import (
+    all_permutation_isomorphism,
+    localization_classes,
+    product_rows,
+    vector_ring_rows,
+)
 
 
 def test_cyclic_basic(z4, z6):
@@ -210,6 +216,72 @@ def test_localization_validates_input(z6):
     for s, bad in (([1, 9], 9), ([1, -1], -1)):
         with pytest.raises(ValueError, match=f"id {bad} is out of range"):
             localization(z6, g, s)
+
+
+def _assert_matches_class_search(ring, grading, s):
+    loc = localization(ring, grading, s)
+    expected = localization_classes(ring, sorted(set(s)))
+    for got, want in (
+        (loc.add_table, expected["add"]),
+        (loc.mul_table, expected["mul"]),
+        (loc.aux["pair_class"], expected["pair_class"]),
+        (loc.aux["canonical_map"], expected["canonical_map"]),
+    ):
+        assert got.dtype == want.dtype and np.array_equal(got, want), (s, got, want)
+    assert loc.aux["class_pairs"] == expected["class_pairs"], s
+    assert loc.labels == expected["labels"], s
+    return loc
+
+
+def _power_closure(ring, x):
+    """{1, x, x^2, ...}: the smallest multiplicative set holding x."""
+    out, y = {ring.one}, x
+    while y not in out:
+        out.add(y)
+        y = ring.mul(y, x)
+    return sorted(out)
+
+
+# suite-mid's ring in the benchmark: Z4[x,y]/(xy) truncated at degree 2
+_MID_SPEC = {"kind": "monomialQuotient", "m": 4, "v": 2, "relations": [[1, 1]], "d": 2}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in PRESETS if n != "e2-trunc-d2"] + ["z4-xy-trunc-d2"]
+)
+def test_localization_matches_class_search_oracle(name):
+    """The corner-ring localization gives the former class search's tables,
+    classes, representatives and labels at {1}, at the homogeneous units and
+    at the power closure of every nonzero homogeneous element, on every
+    preset of order <= 216 and on the order-1024 ring of _MID_SPEC."""
+    if name == "z4-xy-trunc-d2":
+        ring = build_spec(_MID_SPEC)
+        grading = grading_for_spec(ring, "canonical")
+    else:
+        ring, grading = build_preset(name)
+        assert ring.order <= 216
+    sets = [[ring.one], homogeneous_regular_elements(grading)]
+    for x in sorted(homogeneous_elements(grading).element_set - {ring.zero}):
+        sets.append(_power_closure(ring, x))
+    for s in sets:
+        _assert_matches_class_search(ring, grading, s)
+
+
+def test_localization_at_a_set_with_zero_is_the_zero_ring(z6):
+    g = trivial_grading(z6)
+    for s in ([0, 1], [0, 1, 3]):
+        loc = _assert_matches_class_search(z6, g, s)
+        assert loc.order == 1 and loc.zero == loc.one == 0
+
+
+def test_localization_needs_no_order_cap():
+    """|S^-1 R| <= |R|: the order-7776 preset localizes at {1} to itself."""
+    ring, grading = build_preset("e2-trunc-d2")
+    loc = localization(ring, grading, [ring.one])
+    assert loc.add_table.dtype == ring.add_table.dtype
+    assert np.array_equal(loc.add_table, ring.add_table)
+    assert np.array_equal(loc.mul_table, ring.mul_table)
+    assert np.array_equal(loc.aux["canonical_map"], np.arange(ring.order))
 
 
 def test_build_spec_round_trip():

@@ -20,9 +20,10 @@ from emrings.poly import (
     poly_str,
     polynomial,
 )
+from emrings.presets import build_preset
 from emrings.rings import annihilator, ideal_generated, validate_ring
 
-from oracles import poly_annihilator_bruteforce
+from oracles import factor_by_content_product, poly_annihilator_bruteforce
 
 
 def test_poly_canonical_form(z4):
@@ -148,6 +149,28 @@ def test_factor_by_content_generator(z4, e1):
         factor_by_content_generator(polynomial(z4, [2, 2]), 3)  # C(f) != <3>
     with pytest.raises(ValueError):
         factor_by_content_generator(polynomial(z4, []), 0)
+
+
+@pytest.mark.parametrize("name", ["z4", "e1", "z4-xn-3"])
+def test_factor_by_content_generator_matches_product_oracle(name):
+    """Testing the first choice of quotients gives the g of the former scan
+    over every choice, for every f of one or two coefficients and every a
+    with C(f) = (a).  When C(f) = R, only a = 1 is run: for a unit a the
+    quotients are unique and Ann(a) = 0, so there is one choice."""
+    ring, _ = build_preset(name)
+    generators: dict = {}
+    for a in range(ring.order):
+        generators.setdefault(ideal_generated(ring, [a]).elements, []).append(a)
+    full = tuple(range(ring.order))
+    coeff_lists = [[c] for c in range(1, ring.order)] + [
+        [c0, c1] for c0 in range(ring.order) for c1 in range(1, ring.order)
+    ]
+    for coeffs in coeff_lists:
+        f = polynomial(ring, coeffs)
+        content = content_ideal(f).elements
+        for a in generators.get(content, []) if content != full else [ring.one]:
+            g = factor_by_content_generator(f, a)
+            assert g is not None and g == factor_by_content_product(f, a), (coeffs, a)
 
 
 def test_kronecker_flatten_example():
