@@ -46,14 +46,12 @@ from .rings import (
 
 @dataclass(frozen=True)
 class SearchCaps:
-    """Bounds shared by the deciders.
+    """Accepted by :func:`~emrings.theorems.theorem_suite` for compatibility.
 
-    ``max_degree`` bounds polynomial enumeration (pairs and tuples).
-    ``jobs`` is accepted for compatibility and has no effect: every scan
-    runs sequentially.
+    No decider reads it.  ``jobs`` has no effect: every scan runs
+    sequentially.
     """
 
-    max_degree: int = 3
     jobs: int = 1
 
 
@@ -276,11 +274,39 @@ def _ring_bounds(ring: FiniteRing) -> dict:
     return {}
 
 
+def _em_failure(ring: FiniteRing, ideal) -> Optional[dict]:
+    """Witness that the ideal's generators, taken as coefficients, give a
+    zero-divisor polynomial with no annihilating content; else None."""
+    mask = annihilator_mask(ring, ideal.generators)
+    mask[ring.zero] = False
+    if not mask.any():
+        return None  # jointly regular coefficients: not a zero-divisor poly
+    f = Polynomial(ring, ideal.generators)
+    if find_annihilating_content(f) is not None:
+        return None
+    return {
+        "coefficients": [int(s) for s in ideal.generators],
+        "labels": [ring.label(s) for s in ideal.generators],
+        "poly": [int(x) for x in f.coeffs],
+        "poly_str": poly_str(f),
+    }
+
+
+def _component_ideal_hit(ring: FiniteRing, grading: Grading, check: Callable):
+    """First (component key, payload) of ``check`` over the ideals generated
+    by subsets of one component's nonzero zero divisors, component by
+    component in key order; None when every ideal passes."""
+    zd = zero_divisors(ring).element_set
+    for key in grading.support_keys:
+        pool = set(grading.support[key].elements) & zd - {ring.zero}
+        hit = first_hit(ideal_lattice(ring, pool), check)
+        if hit is not None:
+            return key, hit[1]
+    return None
+
+
 def is_em_subset(
-    ring: FiniteRing,
-    elems: Iterable[int],
-    caps: SearchCaps = SearchCaps(),
-    name: str = "em-subset",
+    ring: FiniteRing, elems: Iterable[int], *, name: str = "em-subset"
 ) -> PropertyReport:
     """Does every zero-divisor polynomial with coefficients in ``elems`` have
     an annihilating content?
@@ -294,52 +320,33 @@ def is_em_subset(
     t0 = time.perf_counter()
     zd = zero_divisors(ring).element_set
     pool = set(int(e) for e in elems) & zd - {ring.zero}
-
-    def check(ideal):
-        mask = annihilator_mask(ring, ideal.generators)
-        mask[ring.zero] = False
-        if not mask.any():
-            return None  # jointly regular coefficients: not a zero-divisor poly
-        f = Polynomial(ring, ideal.generators)
-        if find_annihilating_content(f) is None:
-            return f
-        return None
-
-    hit = first_hit(ideal_lattice(ring, pool), check)
+    hit = first_hit(ideal_lattice(ring, pool), lambda ideal: _em_failure(ring, ideal))
     bounds = _ring_bounds(ring)
     millis = (time.perf_counter() - t0) * 1000
     if hit is not None:
-        ideal, f = hit
-        subset = ideal.generators
-        witness = {
-            "coefficients": [int(s) for s in subset],
-            "labels": [ring.label(s) for s in subset],
-            "poly": [int(x) for x in f.coeffs],
-            "poly_str": poly_str(f),
-        }
-        return PropertyReport(name, "false", witness, bounds, millis)
+        return PropertyReport(name, "false", hit[1], bounds, millis)
     return PropertyReport(name, "true", None, bounds, millis)
 
 
-def is_em_ring(ring: FiniteRing, caps: SearchCaps = SearchCaps()) -> PropertyReport:
+def is_em_ring(ring: FiniteRing) -> PropertyReport:
     """EM-ring: every zero-divisor polynomial has an annihilating content."""
-    return is_em_subset(ring, range(ring.order), caps, name="em")
+    return is_em_subset(ring, range(ring.order), name="em")
 
 
-def is_em_g_graded(
-    ring: FiniteRing, grading: Grading, caps: SearchCaps = SearchCaps()
-) -> PropertyReport:
-    """EM-G-graded: every support component is an EM-subset of the ring."""
+def is_em_g_graded(ring: FiniteRing, grading: Grading) -> PropertyReport:
+    """EM-G-graded: every support component is an EM-subset of the ring.
+
+    A homogeneous polynomial has all its coefficients in one component, so
+    this is :func:`is_em_subset`'s ideal scan run component by component;
+    a false witness also names the component.
+    """
     t0 = time.perf_counter()
+    hit = _component_ideal_hit(ring, grading, lambda ideal: _em_failure(ring, ideal))
     bounds = _ring_bounds(ring)
-    for key in grading.support_keys:
-        sub = is_em_subset(ring, grading.support[key].elements, caps, name="em-subset")
-        if not sub.holds:
-            witness = dict(sub.witness or {})
-            witness["component"] = list(key)
-            millis = (time.perf_counter() - t0) * 1000
-            return PropertyReport("em-graded", "false", witness, bounds, millis)
     millis = (time.perf_counter() - t0) * 1000
+    if hit is not None:
+        witness = {**hit[1], "component": list(hit[0])}
+        return PropertyReport("em-graded", "false", witness, bounds, millis)
     return PropertyReport("em-graded", "true", None, bounds, millis)
 
 
@@ -401,9 +408,7 @@ def _armendariz_scan(
     return None
 
 
-def is_armendariz(
-    ring: FiniteRing, degree: int = 1, caps: SearchCaps = SearchCaps()
-) -> PropertyReport:
+def is_armendariz(ring: FiniteRing, degree: int = 1) -> PropertyReport:
     """fg = 0 forces all coefficient products zero, for f, g of degree <= cap.
 
     Coefficients range over Z(R): a unit coefficient on either side makes the
@@ -424,12 +429,7 @@ def is_armendariz(
     return PropertyReport("armendariz", "true_up_to_bounds", None, bounds, millis)
 
 
-def is_armendariz_g_graded(
-    ring: FiniteRing,
-    grading: Grading,
-    degree: int = 1,
-    caps: SearchCaps = SearchCaps(),
-) -> PropertyReport:
+def is_armendariz_g_graded(ring: FiniteRing, grading: Grading, degree: int = 1) -> PropertyReport:
     """Armendariz condition restricted to homogeneous f, g."""
     if degree < 1:
         raise ValueError("degree cap must be >= 1")
@@ -451,12 +451,7 @@ def is_armendariz_g_graded(
 # -- Bezout-graded ----------------------------------------------------------------
 
 
-def is_bezout_g_graded(
-    ring: FiniteRing,
-    grading: Grading,
-    k: int = 2,
-    caps: SearchCaps = SearchCaps(),
-) -> PropertyReport:
+def is_bezout_g_graded(ring: FiniteRing, grading: Grading, k: int = 2) -> PropertyReport:
     """Is every graded ideal on <= k generators principal?
 
     Enumerates every ideal generated by at most k ring elements.  The first
@@ -485,9 +480,7 @@ def is_bezout_g_graded(
 # -- regular embedding (identity component into the whole ring) --------------------
 
 
-def check_regular_embedding(
-    grading: Grading, caps: SearchCaps = SearchCaps()
-) -> PropertyReport:
+def check_regular_embedding(grading: Grading) -> PropertyReport:
     """Tuples over R_e with trivial annihilator inside R_e must stay regular
     in R.  Precondition: the component-cyclicity hypotheses hold."""
     from .grading import check_t2_hypotheses
@@ -531,24 +524,8 @@ def homogeneous_regular_elements(grading: Grading) -> list[int]:
     return sorted(hom & units(ring).element_set)
 
 
-def _component_ideal_hit(ring: FiniteRing, grading: Grading, check: Callable):
-    """First (component key, payload) of ``check`` over the ideals generated
-    by subsets of one component's nonzero zero divisors, component by
-    component in key order; None when every ideal passes."""
-    zd = zero_divisors(ring).element_set
-    for key in grading.support_keys:
-        pool = set(grading.support[key].elements) & zd - {ring.zero}
-        hit = first_hit(ideal_lattice(ring, pool), check)
-        if hit is not None:
-            return key, hit[1]
-    return None
-
-
 def verify_t5(
-    ring: FiniteRing,
-    grading: Grading,
-    caps: SearchCaps = SearchCaps(),
-    em_report: Optional[PropertyReport] = None,
+    ring: FiniteRing, grading: Grading, em_report: Optional[PropertyReport] = None
 ) -> PropertyReport:
     """When hT(R) is EM-graded, every homogeneous zero-divisor coefficient
     set must share its annihilator with a single ring element.
@@ -563,7 +540,7 @@ def verify_t5(
     """
     t0 = time.perf_counter()
     if em_report is None:
-        em_report = is_em_g_graded(ring, grading, caps)
+        em_report = is_em_g_graded(ring, grading)
     bounds = {**_ring_bounds(ring)}
     if not em_report.holds:
         millis = (time.perf_counter() - t0) * 1000
@@ -637,10 +614,7 @@ def check_bivariate_content(f: BivariatePolynomial) -> Optional[dict]:
 
 
 def verify_t7_bounded(
-    ring: FiniteRing,
-    grading: Grading,
-    caps: SearchCaps = SearchCaps(),
-    em_report: Optional[PropertyReport] = None,
+    ring: FiniteRing, grading: Grading, em_report: Optional[PropertyReport] = None
 ) -> PropertyReport:
     """Contents survive one polynomial extension, at every degree.
 
@@ -654,7 +628,7 @@ def verify_t7_bounded(
     because the benchmark's tracer looks the function up by it.
     """
     if em_report is None:
-        em_report = is_em_g_graded(ring, grading, caps)
+        em_report = is_em_g_graded(ring, grading)
     if not em_report.holds:
         raise ValueError("t7 check requires an EM-graded ring")
     t0 = time.perf_counter()

@@ -16,7 +16,6 @@ from typing import Optional
 
 from .analysis import (
     PropertyReport,
-    SearchCaps,
     find_annihilating_content,
     is_armendariz,
     is_armendariz_g_graded,
@@ -85,11 +84,14 @@ def _resolve_ring(arg: str, max_order: int) -> tuple[FiniteRing, Optional[str]]:
     if not path.exists():
         raise UsageError(f"unknown preset or missing file: {arg!r}")
     doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise UsageError(f"{arg}: a ring file holds a JSON object "
+                         "(a ring table or construction document)")
     if "kind" in doc:
         ring = build_spec(doc, max_order=max_order)
         validate_ring(ring)
         return ring, None
-    if len(doc["add"]) > max_order:
+    if isinstance(doc.get("add"), list) and len(doc["add"]) > max_order:
         raise OrderCapError(len(doc["add"]), max_order)
     return FiniteRing.from_dict(doc), None
 
@@ -168,7 +170,7 @@ def run_property(
     name: str,
     ring: FiniteRing,
     grading: Optional[Grading],
-    caps: SearchCaps,
+    max_degree: int,
 ) -> PropertyReport:
     def need_grading() -> Grading:
         if grading is None:
@@ -177,15 +179,15 @@ def run_property(
 
     t0 = time.perf_counter()
     if name == "em":
-        return is_em_ring(ring, caps)
+        return is_em_ring(ring)
     if name == "em-graded":
-        return is_em_g_graded(ring, need_grading(), caps)
+        return is_em_g_graded(ring, need_grading())
     if name == "armendariz":
-        return is_armendariz(ring, caps.max_degree, caps)
+        return is_armendariz(ring, max_degree)
     if name == "armendariz-graded":
-        return is_armendariz_g_graded(ring, need_grading(), caps.max_degree, caps)
+        return is_armendariz_g_graded(ring, need_grading(), max_degree)
     if name == "bezout-graded":
-        return is_bezout_g_graded(ring, need_grading(), 2, caps)
+        return is_bezout_g_graded(ring, need_grading(), 2)
     if name == "crossed-product":
         ok, wit = is_crossed_product(need_grading())
         witness = {str(list(k)): v for k, v in wit.items()}
@@ -262,7 +264,8 @@ def describe_ring(ring: FiniteRing, grading: Optional[Grading], preset: Optional
 
 def _build_parser() -> argparse.ArgumentParser:
     common = _ArgumentParser(add_help=False)
-    common.add_argument("--max-degree", type=int, default=3, help="polynomial degree bound")
+    common.add_argument("--max-degree", type=int, default=3,
+                        help="degree bound of check --property armendariz/armendariz-graded")
     common.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
                         help="largest ring order constructions may materialize")
     common.add_argument("--jobs", type=int, default=1,
@@ -301,10 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _caps_from_args(args) -> SearchCaps:
-    return SearchCaps(max_degree=args.max_degree, jobs=args.jobs)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     timing = not args.no_timing
@@ -330,7 +329,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             grading = None
             if args.property not in ("em", "armendariz"):
                 grading = _resolve_grading(ring, preset, args.grading)
-            report = run_property(args.property, ring, grading, _caps_from_args(args))
+            report = run_property(args.property, ring, grading, args.max_degree)
             _emit_report(report, args.format, timing)
             return 0
 
@@ -372,7 +371,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "suite":
             names = args.corpus.split(",") if args.corpus else None
             entries = preset_corpus(names)
-            reports = theorem_suite(entries, _caps_from_args(args))
+            reports = theorem_suite(entries)
             if args.format == "json":
                 print(json.dumps(
                     [r.to_dict(timing=timing) for r in reports], indent=2, sort_keys=True

@@ -9,7 +9,7 @@ is exhaustive.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -528,38 +528,59 @@ def localization(ring: FiniteRing, grading, s_elems: Iterable[int]):
 # -- construction documents --------------------------------------------------------
 
 
-def build_spec(doc: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
-    """Materialize a construction document (see the README for the format)."""
+def _list_of(ok: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda value: isinstance(value, list) and all(ok(v) for v in value)
+
+
+_INT = lambda value: isinstance(value, int)
+_STR = lambda value: isinstance(value, str)
+
+
+def _field(doc: Mapping, key: str, ok: Callable[[object], bool], default=None):
+    """``doc[key]``, or ``default`` when absent; ValueError unless ``ok`` holds."""
+    value = doc.get(key, default)
+    if not ok(value):
+        raise ValueError(f"malformed construction document: {doc['kind']!r} has a "
+                         f"missing or ill-typed {key!r}")
+    return value
+
+
+def build_spec(doc: Mapping, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
+    """Materialize a construction document (see the README for the format);
+    ValueError naming the field when the document has the wrong shape."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"malformed construction document: {type(doc).__name__}, not an object")
     kind = doc.get("kind")
+
+    def base() -> FiniteRing:
+        return build_spec(doc.get("base"), max_order=max_order)
+
     if kind == "cyclic":
-        return cyclic(int(doc["n"]), max_order=max_order)
+        return cyclic(_field(doc, "n", _INT), max_order=max_order)
     if kind == "product":
-        factors = [build_spec(f, max_order=max_order) for f in doc["factors"]]
+        factors = _field(doc, "factors", lambda v: isinstance(v, list))
+        factors = [build_spec(f, max_order=max_order) for f in factors]
         return direct_product(factors, max_order=max_order)
     if kind == "polyQuotientXn":
-        base = build_spec(doc["base"], max_order=max_order)
-        return poly_quotient_xn(
-            base, int(doc["n"]), var=doc.get("var", "x"), max_order=max_order
-        )
+        n, var = _field(doc, "n", _INT), _field(doc, "var", _STR, "x")
+        return poly_quotient_xn(base(), n, var=var, max_order=max_order)
     if kind == "monomialQuotient":
         return monomial_quotient(
-            int(doc["m"]),
-            int(doc["v"]),
-            doc.get("relations", []),
-            int(doc["d"]),
-            varnames=doc.get("varnames"),
+            _field(doc, "m", _INT),
+            _field(doc, "v", _INT),
+            _field(doc, "relations", _list_of(_list_of(_INT)), []),
+            _field(doc, "d", _INT),
+            varnames=_field(doc, "varnames", lambda v: v is None or _list_of(_STR)(v)),
             max_order=max_order,
         )
     if kind == "idealization":
-        base = build_spec(doc["base"], max_order=max_order)
-        return idealization(base, max_order=max_order)
+        return idealization(base(), max_order=max_order)
     if kind == "groupRing":
-        base = build_spec(doc["base"], max_order=max_order)
-        return group_ring(base, doc["group"], max_order=max_order)
+        return group_ring(base(), _field(doc, "group", _list_of(_INT)), max_order=max_order)
     if kind == "localization":
         from .grading import grading_for_spec
 
-        base = build_spec(doc["base"], max_order=max_order)
-        grading = grading_for_spec(base, doc.get("grading", "canonical"))
-        return localization(base, grading, doc["s"])
+        ring = base()
+        grading = grading_for_spec(ring, doc.get("grading", "canonical"))
+        return localization(ring, grading, _field(doc, "s", _list_of(_INT)))
     raise ValueError(f"unknown construction kind {kind!r}")

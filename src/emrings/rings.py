@@ -125,14 +125,28 @@ class FiniteRing:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "FiniteRing":
-        ring = cls(
-            doc["add"],
-            doc["mul"],
-            doc["zero"],
-            doc["one"],
-            labels=doc.get("labels"),
-        )
-        return validate_ring(ring)
+        """The validated ring of a table document; ValueError when ``doc``
+        does not have the shape ``to_dict`` writes."""
+        add, mul = _id_table(doc.get("add")), _id_table(doc.get("mul"))
+        zero, one, labels = doc.get("zero"), doc.get("one"), doc.get("labels")
+        if not (
+            add is not None and mul is not None and isinstance(zero, int) and isinstance(one, int)
+            and (labels is None or isinstance(labels, list)
+                 and all(isinstance(s, str) for s in labels))
+        ):
+            raise ValueError("malformed ring document: expected {add: [[int]], "
+                             "mul: [[int]], zero: int, one: int, labels?: [str]}")
+        return validate_ring(cls(add, mul, zero, one, labels=labels))
+
+
+def _id_table(value) -> Optional[np.ndarray]:
+    """``value`` as a 2-D integer array; None unless it is a list of equally
+    long lists of ints."""
+    try:
+        table = np.array(value) if isinstance(value, list) else None
+    except ValueError:  # rows of different lengths
+        return None
+    return table if table is not None and table.ndim == 2 and table.dtype.kind in "iu" else None
 
 
 @dataclass(frozen=True)

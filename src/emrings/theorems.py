@@ -17,14 +17,13 @@ from typing import Optional
 from .analysis import (
     PropertyReport,
     SearchCaps,
+    _component_ideal_hit,
     check_regular_embedding,
-    first_hit,
     homogeneous_regular_elements,
     is_armendariz_g_graded,
     is_bezout_g_graded,
     is_em_g_graded,
     is_em_ring,
-    is_em_subset,
     verify_t5,
     verify_t7_bounded,
 )
@@ -41,12 +40,18 @@ from .grading import (
     localization_grading,
     square_zero_extension_grading,
 )
-from .rings import FiniteRing, annihilator, ideal_lattice, subring, zero_divisors
+from .rings import FiniteRing, annihilator, subring, zero_divisors
 
 SUITE_TAGS = [
     "t1", "t2", "c2", "t3", "t4", "c3", "t6", "t8", "t9", "t10", "t11", "c7",
     "l1", "l2", "t5", "t7",
 ]
+
+# Generator cap of the c3 row's Bezout-graded decider.
+BEZOUT_GENERATORS = 2
+# Largest order |R|^2 of the square-zero extension R[X]/(X^2) that the t8
+# and t9 rows build.
+EXTENSION_CAP = 4200
 
 
 @dataclass(frozen=True)
@@ -61,21 +66,18 @@ class _EntryState:
     """Artifacts shared between rows of one corpus entry, computed lazily."""
 
     entry: CorpusEntry
-    caps: SearchCaps
     _cache: dict = field(default_factory=dict)
 
     def em_graded(self) -> PropertyReport:
         if "em_graded" not in self._cache:
-            self._cache["em_graded"] = is_em_g_graded(
-                self.entry.ring, self.entry.grading, self.caps
-            )
+            self._cache["em_graded"] = is_em_g_graded(self.entry.ring, self.entry.grading)
         return self._cache["em_graded"]
 
     def identity_subring_em(self) -> PropertyReport:
         if "re_em" not in self._cache:
             re_elems = self.entry.grading.identity_component().elements
             re_ring, _ = subring(self.entry.ring, re_elems)
-            self._cache["re_em"] = is_em_ring(re_ring, self.caps)
+            self._cache["re_em"] = is_em_ring(re_ring)
         return self._cache["re_em"]
 
     def t2(self):
@@ -83,13 +85,13 @@ class _EntryState:
             self._cache["t2"] = check_t2_hypotheses(self.entry.grading)
         return self._cache["t2"]
 
-    def square_zero_extension(self, cap: int):
+    def square_zero_extension(self):
         if "ext" not in self._cache:
             ring = self.entry.ring
-            if ring.order * ring.order > cap:
+            if ring.order * ring.order > EXTENSION_CAP:
                 self._cache["ext"] = None
             else:
-                ext = poly_quotient_xn(ring, 2, var="X", max_order=cap)
+                ext = poly_quotient_xn(ring, 2, var="X", max_order=EXTENSION_CAP)
                 lifted = square_zero_extension_grading(ext, self.entry.grading)
                 self._cache["ext"] = (ext, lifted)
         return self._cache["ext"]
@@ -143,31 +145,21 @@ def theorem_suite(
     caps: SearchCaps = SearchCaps(),
     *,
     armendariz_degree: Optional[int] = None,
-    bezout_generators: int = 2,
-    localization_cap: int = 8192,
-    extension_cap: int = 4200,
 ) -> list[PropertyReport]:
     """Run every catalog implication on every corpus entry.
 
-    Expensive constructions (square-zero extensions, localizations) are
-    skipped above the order caps with an explicit marker, never silently.
+    ``armendariz_degree`` is t3's degree bound; by default 3, or 2 above
+    order 300.  ``caps`` is accepted for compatibility and has no effect.
+    Square-zero extensions above ``EXTENSION_CAP`` are skipped with an
+    explicit marker, never silently.
     """
     reports: list[PropertyReport] = []
     for entry in entries:
-        state = _EntryState(entry, caps)
-        reports.extend(_entry_rows(state, caps, armendariz_degree, bezout_generators,
-                                   localization_cap, extension_cap))
+        reports.extend(_entry_rows(_EntryState(entry), armendariz_degree))
     return reports
 
 
-def _entry_rows(
-    state: _EntryState,
-    caps: SearchCaps,
-    armendariz_degree: Optional[int],
-    bezout_generators: int,
-    localization_cap: int,
-    extension_cap: int,
-) -> list[PropertyReport]:
+def _entry_rows(state: _EntryState, armendariz_degree: Optional[int]) -> list[PropertyReport]:
     entry = state.entry
     ring, grading = entry.ring, entry.grading
     rows: list[PropertyReport] = []
@@ -175,20 +167,16 @@ def _entry_rows(
         3 if ring.order <= 300 else 2
     )
 
-    # t1: EM-graded iff every component is an EM-subset (plus the support
-    # identity hZ(R) = union of the components' zero divisors)
+    # t1: EM-graded iff every component is an EM-subset.  is_em_g_graded
+    # decides EM-graded by that very per-component scan, so what is left to
+    # check is the support identity hZ(R) = union of the components' zero
+    # divisors, which makes the components' scans cover hZ(R)
     def t1():
-        em = state.em_graded()
-        per_component = all(
-            is_em_subset(ring, grading.support[k].elements, caps).holds
-            for k in grading.support_keys
-        )
         zd = zero_divisors(ring).element_set
         union = {ring.zero}
         for k in grading.support_keys:
             union |= set(grading.support[k].elements) & zd
-        support_identity = union == (set(homogeneous_zero_divisors(grading).elements) | {ring.zero})
-        return em.holds == per_component and support_identity
+        return union == (set(homogeneous_zero_divisors(grading).elements) | {ring.zero})
 
     out, ms = _timed(t1)
     rows.append(_biconditional_row("t1", entry, out, True, {}, ms))
@@ -215,7 +203,7 @@ def _entry_rows(
     def t3():
         hyp = state.em_graded().holds
         concl = (
-            is_armendariz_g_graded(ring, grading, d_arm, caps).holds if hyp else None
+            is_armendariz_g_graded(ring, grading, d_arm).holds if hyp else None
         )
         return hyp, concl
 
@@ -223,32 +211,30 @@ def _entry_rows(
     rows.append(_row("t3", entry, hyp, concl, detail={"max_degree": d_arm}, millis=ms))
 
     # t4: EM-graded -> localizations at homogeneous multiplicative sets stay EM-graded
-    if ring.order > localization_cap:
-        rows.append(_row("t4", entry, None, None, skipped="order cap"))
-    else:
-        def t4():
-            hyp = state.em_graded().holds
-            if not hyp:
-                return hyp, None
-            sets = [[ring.one], homogeneous_regular_elements(grading)]
-            for s in sets:
-                loc = localization(ring, grading, s)
-                lgr = localization_grading(loc)
-                if not is_em_g_graded(loc, lgr, caps).holds:
-                    return hyp, False
-            return hyp, True
+    def t4():
+        hyp = state.em_graded().holds
+        if not hyp:
+            return hyp, None
+        sets = [[ring.one], homogeneous_regular_elements(grading)]
+        for s in sets:
+            loc = localization(ring, grading, s)
+            if not is_em_g_graded(loc, localization_grading(loc)).holds:
+                return hyp, False
+        return hyp, True
 
-        (hyp, concl), ms = _timed(t4)
-        rows.append(_row("t4", entry, hyp, concl, millis=ms))
+    (hyp, concl), ms = _timed(t4)
+    rows.append(_row("t4", entry, hyp, concl, millis=ms))
 
     # c3: Bezout-graded -> EM-graded
     def c3():
-        hyp = is_bezout_g_graded(ring, grading, bezout_generators, caps).holds
+        hyp = is_bezout_g_graded(ring, grading, BEZOUT_GENERATORS).holds
         concl = state.em_graded().holds if hyp else None
         return hyp, concl
 
     (hyp, concl), ms = _timed(c3)
-    rows.append(_row("c3", entry, hyp, concl, detail={"generator_cap": bezout_generators}, millis=ms))
+    rows.append(
+        _row("c3", entry, hyp, concl, detail={"generator_cap": BEZOUT_GENERATORS}, millis=ms)
+    )
 
     # t6: a product is EM-graded iff every factor is (product entries only)
     if (ring.provenance or {}).get("kind") == "product":
@@ -257,7 +243,7 @@ def _entry_rows(
             right = True
             for factor in ring.aux["factors"]:
                 fg = canonical_grading(factor)
-                if not is_em_g_graded(factor, fg, caps).holds:
+                if not is_em_g_graded(factor, fg).holds:
                     right = False
                     break
             return left, right
@@ -266,7 +252,7 @@ def _entry_rows(
         rows.append(_biconditional_row("t6", entry, left, right, {}, ms))
 
     # t8: no nonzero homogeneous zero divisors -> R[X]/(X^2) is EM-graded
-    ext = state.square_zero_extension(extension_cap)
+    ext = state.square_zero_extension()
     def t8():
         hyp = check_t8_condition(grading)
         if not hyp:
@@ -274,7 +260,7 @@ def _entry_rows(
         if ext is None:
             return None, None
         ext_ring, lifted = ext
-        return hyp, is_em_g_graded(ext_ring, lifted, caps).holds
+        return hyp, is_em_g_graded(ext_ring, lifted).holds
 
     (hyp, concl), ms = _timed(t8)
     if hyp is None:
@@ -288,7 +274,7 @@ def _entry_rows(
     else:
         def t9():
             ext_ring, lifted = ext
-            hyp = is_em_g_graded(ext_ring, lifted, caps).holds
+            hyp = is_em_g_graded(ext_ring, lifted).holds
             concl = state.em_graded().holds if hyp else None
             return hyp, concl
 
@@ -311,14 +297,14 @@ def _entry_rows(
         def t11():
             faithful = annihilator(base, range(base.order)).elements == (base.zero,)
             hyp = faithful and state.em_graded().holds
-            concl = is_em_ring(base, caps).holds if hyp else None
+            concl = is_em_ring(base).holds if hyp else None
             return hyp, concl
 
         (hyp, concl), ms = _timed(t11)
         rows.append(_row("t11", entry, hyp, concl, millis=ms))
 
         def c7():
-            return is_em_ring(base, caps).holds, state.em_graded().holds
+            return is_em_ring(base).holds, state.em_graded().holds
 
         (left, right), ms = _timed(c7)
         rows.append(_biconditional_row("c7", entry, left, right, {}, ms))
@@ -326,7 +312,7 @@ def _entry_rows(
     # l1: under the component hypotheses, regular tuples of R_e stay regular in R
     def l1():
         hyp = state.t2()[0]
-        concl = check_regular_embedding(grading, caps).holds if hyp else None
+        concl = check_regular_embedding(grading).holds if hyp else None
         return hyp, concl
 
     (hyp, concl), ms = _timed(l1)
@@ -334,24 +320,21 @@ def _entry_rows(
 
     # l2: the content ideal of a homogeneous polynomial is a graded ideal; the
     # content ideals of one component's polynomials are the ideals its
-    # nonzero elements generate
+    # nonzero elements generate.  A nonzero element outside Z(R) is a unit, so
+    # a subset holding one generates R, which is graded: the ideals over the
+    # component's nonzero zero divisors decide
     def l2():
-        for key in grading.support_keys:
-            pool = [e for e in grading.support[key].elements if e != ring.zero]
-            bad = first_hit(
-                ideal_lattice(ring, pool),
-                lambda ideal: ideal if not is_graded_ideal(grading, ideal) else None,
-            )
-            if bad is not None:
-                return True, False
-        return True, True
+        bad = _component_ideal_hit(
+            ring, grading, lambda ideal: ideal if not is_graded_ideal(grading, ideal) else None
+        )
+        return True, bad is None
 
     (hyp, concl), ms = _timed(l2)
     rows.append(_row("l2", entry, hyp, concl, millis=ms))
 
     # t5: hT(R) EM-graded -> coefficient-set annihilators are principal-like;
     # hT(R) is R itself, so the hypothesis is the entry's EM-graded verdict
-    report, ms = _timed(lambda: verify_t5(ring, grading, caps, em_report=state.em_graded()))
+    report, ms = _timed(lambda: verify_t5(ring, grading, em_report=state.em_graded()))
     rows.append(_row("t5", entry, True, report.holds, detail=dict(report.bounds), millis=ms))
 
     # t7: EM-graded survives one polynomial extension (one check per ideal)
@@ -359,7 +342,7 @@ def _entry_rows(
         hyp = state.em_graded().holds
         if not hyp:
             return hyp, None
-        return hyp, verify_t7_bounded(ring, grading, caps, em_report=state.em_graded()).holds
+        return hyp, verify_t7_bounded(ring, grading, em_report=state.em_graded()).holds
 
     (hyp, concl), ms = _timed(t7)
     rows.append(_row("t7", entry, hyp, concl, millis=ms))

@@ -57,9 +57,9 @@ def _small_rings(entries):
 
 def _criterion_1(entries, caps):
     e1 = next(e for e in entries if e.name == "e1")
-    em = is_em_ring(e1.ring, caps)
+    em = is_em_ring(e1.ring)
     content = find_annihilating_content(polynomial(e1.ring, [2, 4]))
-    graded = is_em_g_graded(e1.ring, e1.grading, caps)
+    graded = is_em_g_graded(e1.ring, e1.grading)
     return {
         "em": em.to_dict(timing=False),
         "content_of_2_plus_Yx": None if content is None else content.to_dict(),
@@ -73,8 +73,8 @@ def _criterion_2(caps):
     for base in bases:
         ring = idealization(base)
         grading = idealization_grading(ring)
-        em = is_em_ring(base, caps)
-        graded = is_em_g_graded(ring, grading, caps)
+        em = is_em_ring(base)
+        graded = is_em_g_graded(ring, grading)
         docs.append(
             {
                 "base_order": base.order,
@@ -89,18 +89,18 @@ def _criterion_3(entries, caps):
     from emrings.construct import poly_quotient_xn
 
     z4 = cyclic(4)
-    out = {"em_z4": is_em_ring(validate_ring(z4), caps).to_dict(timing=False)}
+    out = {"em_z4": is_em_ring(validate_ring(z4)).to_dict(timing=False)}
     for n in (2, 3):
         ring = poly_quotient_xn(z4, n)
         grading = xn_grading(ring)
-        out[f"n{n}"] = is_em_g_graded(ring, grading, caps).to_dict(timing=False)
+        out[f"n{n}"] = is_em_g_graded(ring, grading).to_dict(timing=False)
     return out
 
 
 def _criterion_4(entries, caps):
     e2 = next(e for e in entries if e.name == "e2-trunc-d2")
     ok, witnesses = check_t2_hypotheses(e2.grading)
-    graded = is_em_g_graded(e2.ring, e2.grading, caps)
+    graded = is_em_g_graded(e2.ring, e2.grading)
     return {
         "t2_hypotheses": ok,
         "t2_witnesses": {str(list(k)): v for k, v in witnesses.items()},
@@ -179,8 +179,8 @@ def _criterion_6(entries, caps):
 
 def _criterion_7(entries, caps):
     e1 = next(e for e in entries if e.name == "e1")
-    ungraded = is_armendariz(e1.ring, 1, caps)
-    graded = is_armendariz_g_graded(e1.ring, e1.grading, 3, caps)
+    ungraded = is_armendariz(e1.ring, 1)
+    graded = is_armendariz_g_graded(e1.ring, e1.grading, 3)
     recheck = None
     if ungraded.verdict == "false":
         from emrings.poly import poly_mul

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from emrings.analysis import (
     ContentWitness,
     PropertyReport,
-    SearchCaps,
     _candidate_data,
     _try_candidate,
     check_bivariate_content,
@@ -96,12 +95,16 @@ def test_witness_invariants_reject_tampering(z4, z6):
 
 
 def test_is_em_subset_examples(z4, e1):
-    assert is_em_subset(z4, [0, 2], SearchCaps()).verdict == "true"
-    rep = is_em_subset(e1, range(16), SearchCaps())
+    assert is_em_subset(z4, [0, 2]).verdict == "true"
+    rep = is_em_subset(e1, range(16))
     assert rep.verdict == "false"
     assert rep.witness["coefficients"] == [2, 4]
     # the component Z4*Y is an EM-subset
-    assert is_em_subset(e1, [0, 4, 8, 12], SearchCaps()).verdict == "true"
+    assert is_em_subset(e1, [0, 4, 8, 12]).verdict == "true"
+    # the report name is keyword-only, so a stray third argument fails loudly
+    with pytest.raises(TypeError):
+        is_em_subset(z4, [0, 2], "em")
+    assert is_em_subset(z4, [0, 2], name="em").property == "em"
 
 
 def test_is_em_ring_examples(z4, z6, e1):
@@ -495,12 +498,3 @@ def test_first_hit_stops_at_first_hit_in_order():
     assert first_hit(items, check) == (775, ("hit", 775))
     assert seen == items[: items.index(775) + 1]  # nothing checked past the hit
     assert first_hit(items, lambda x: None) is None
-
-
-def test_jobs_do_not_change_reports(e1, e1_grading):
-    seq = is_em_g_graded(e1, e1_grading, SearchCaps(jobs=1))
-    par = is_em_g_graded(e1, e1_grading, SearchCaps(jobs=4))
-    assert seq.to_dict(timing=False) == par.to_dict(timing=False)
-    seq = is_em_ring(e1, SearchCaps(jobs=1))
-    par = is_em_ring(e1, SearchCaps(jobs=4))
-    assert seq.to_dict(timing=False) == par.to_dict(timing=False)

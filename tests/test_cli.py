@@ -151,6 +151,25 @@ def test_bad_ring_file(tmp_path, capsys):
     code, _, err = run(capsys, "describe", "--ring", "z4", "--grading", str(grading))
     assert code == 1 and "error:" in err and "malformed-document" in err
 
+    # documents of the wrong shape are input errors, not crashes
+    table = {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "zero": 0, "one": 1}
+    for doc in ([1, 2], 5, {"add": 3, "mul": 3, "zero": 0, "one": 0},
+                {"kind": "product", "factors": 3}, {**table, "labels": 7}):
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "describe", "--ring", str(bad))
+        assert code == 1 and "error:" in err and "Traceback" not in err, doc
+
+
+@pytest.mark.parametrize("prop", ["em", "em-graded"])
+def test_jobs_do_not_change_check_output(capsys, prop):
+    outs = []
+    for jobs in ("1", "4"):
+        code, out, _ = run(capsys, "check", "--ring", "e1", "--property", prop,
+                           "--format", "json", "--no-timing", "--jobs", jobs)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
 
 def test_poly_literal_parser(e1):
     assert parse_poly_literal(e1, "[2,4]").coeffs == (2, 4)

@@ -1,8 +1,15 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from emrings.analysis import SearchCaps
 from emrings.presets import preset_corpus
+from emrings.rings import ideal_lattice, zero_divisors
 from emrings.theorems import CorpusEntry, _row, suite_failures, theorem_suite
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 def _by_name(reports):
@@ -63,3 +70,39 @@ def test_suite_deterministic_across_jobs():
     a = theorem_suite(entries, SearchCaps(jobs=1))
     b = theorem_suite(entries, SearchCaps(jobs=4))
     assert [r.to_dict(timing=False) for r in a] == [r.to_dict(timing=False) for r in b]
+
+
+def test_l2_lattice_over_zero_divisors_misses_only_r():
+    """l2 scans each component's ideals over its nonzero zero divisors only:
+    a nonzero element outside Z(R) is a unit, so a subset holding one
+    generates R, and the lattice over all nonzero elements adds at most R."""
+    for entry in preset_corpus():
+        ring, grading = entry.ring, entry.grading
+        if ring.order > 64:
+            continue
+        zd = zero_divisors(ring).element_set
+        for key in grading.support_keys:
+            pool = [e for e in grading.support[key].elements if e != ring.zero]
+            full = {ideal.elements for ideal in ideal_lattice(ring, pool)}
+            reduced = {ideal.elements for ideal in ideal_lattice(ring, [e for e in pool if e in zd])}
+            if any(e not in zd for e in pool):
+                reduced.add(tuple(range(ring.order)))
+            assert full == reduced, (entry.name, key)
+
+
+def test_benchmark_tracer_finds_every_traced_function():
+    """The benchmark's tracer wraps library functions by name; renaming or
+    removing one must fail here, not only in a traced benchmark run."""
+    import emrings.theorems  # noqa: F401  (loads every traced module)
+
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.enable()
+    finally:
+        tracer.disable()
+    for name, fn in tracer.originals.items():
+        module, attr = name.split(".")
+        assert getattr(sys.modules[f"emrings.{module}"], attr) is fn, name
