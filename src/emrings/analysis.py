@@ -353,8 +353,18 @@ def is_em_g_graded(ring: FiniteRing, grading: Grading) -> PropertyReport:
 # -- Armendariz deciders ----------------------------------------------------------
 
 
+# Most coefficient tuples one pool may expand to; _tuple_block materializes all.
+ARMENDARIZ_TUPLE_CAP = 1 << 20
+
+
 def _tuple_block(pool: Sequence[int], length: int) -> np.ndarray:
     """All coefficient tuples over pool, ascending in mixed-radix order."""
+    count = len(pool) ** length
+    if count > ARMENDARIZ_TUPLE_CAP:
+        raise ValueError(
+            f"Armendariz scan over {len(pool)} coefficients at degree {length - 1} "
+            f"needs {count} tuples, above the cap of {ARMENDARIZ_TUPLE_CAP}"
+        )
     return np.fromiter(pool, dtype=np.int64)[_decode_all([len(pool)] * length)]
 
 
@@ -367,45 +377,57 @@ def _armendariz_scan(
 
     ``blocks`` pairs a tag (component key or None) with a tuple array; pairs
     are scanned across block pairs in order, f-major, g >= f inside one block.
+    For each f, Ann(C(f)) keeps the g with some a_i b_j nonzero and one
+    convolution over those finds fg = 0 (README, Armendariz acceptance); the
+    witness is the first such g with its first nonzero (i, j), row-major.
     """
     zero = ring.zero
-    width = degree + 1
     for bi, (tag_f, P) in enumerate(blocks):
         for bj in range(bi, len(blocks)):
             tag_g, Q = blocks[bj]
-            for fi in range(len(P)):
-                frow = P[fi]
-                if (frow == zero).all():
-                    continue
-                gs = Q[fi:] if bj == bi else Q
-                base = fi if bj == bi else 0
-                alive = ~np.all(gs == zero, axis=1)
-                prod_zero = np.ones(len(gs), dtype=bool)
+            for fi, frow in enumerate(P):
+                lo = fi if bj == bi else 0
+                ann = (ring.mul_table[frow] == zero).all(axis=0)
+                idx = lo + np.flatnonzero(~ann[Q[lo:]].all(axis=1))
+                cand = Q[idx]
+                prod_zero = np.ones(len(idx), dtype=bool)
                 for k in range(2 * degree + 1):
-                    acc = np.full(len(gs), zero, dtype=np.int64)
-                    for i in range(max(0, k - degree), min(degree, k) + 1):
-                        term = ring.mul_table[frow[i], gs[:, k - i]].astype(np.int64)
-                        acc = ring.add_table[acc, term].astype(np.int64)
-                    prod_zero &= acc == zero
                     if not prod_zero.any():
                         break
-                cand = np.nonzero(prod_zero & alive)[0]
-                for gi in cand:
-                    grow = gs[gi]
-                    for i in range(width):
-                        for j in range(width):
-                            if ring.mul(int(frow[i]), int(grow[j])) != zero:
-                                return {
-                                    "f": [int(x) for x in frow],
-                                    "g": [int(x) for x in grow],
-                                    "f_str": poly_str(Polynomial(ring, tuple(frow))),
-                                    "g_str": poly_str(Polynomial(ring, tuple(grow))),
-                                    "component_f": None if tag_f is None else list(tag_f),
-                                    "component_g": None if tag_g is None else list(tag_g),
-                                    "nonzero_product_at": [i, j],
-                                    "g_index": int(base + gi),
-                                }
+                    acc = np.full(len(idx), zero, dtype=np.int64)
+                    for i in range(max(0, k - degree), min(degree, k) + 1):
+                        term = ring.mul_table[frow[i], cand[:, k - i]].astype(np.int64)
+                        acc = ring.add_table[acc, term].astype(np.int64)
+                    prod_zero &= acc == zero
+                bad = idx[prod_zero]
+                if len(bad):
+                    grow = Q[bad[0]]
+                    i, j = np.argwhere(ring.mul_table[np.ix_(frow, grow)] != zero)[0]
+                    return {
+                        "f": [int(x) for x in frow],
+                        "g": [int(x) for x in grow],
+                        "f_str": poly_str(Polynomial(ring, tuple(frow))),
+                        "g_str": poly_str(Polynomial(ring, tuple(grow))),
+                        "component_f": None if tag_f is None else list(tag_f),
+                        "component_g": None if tag_g is None else list(tag_g),
+                        "nonzero_product_at": [int(i), int(j)],
+                        "g_index": int(bad[0]),
+                    }
     return None
+
+
+def _armendariz_report(name: str, ring: FiniteRing, pools: list, degree: int) -> PropertyReport:
+    """Scan the tuple blocks over the nonempty ``pools`` (tag, coefficients)."""
+    if degree < 1:
+        raise ValueError("degree cap must be >= 1")
+    t0 = time.perf_counter()
+    blocks = [(tag, _tuple_block(pool, degree + 1)) for tag, pool in pools if pool]
+    witness = _armendariz_scan(ring, blocks, degree)
+    bounds = {"max_degree": degree, **_ring_bounds(ring)}
+    millis = (time.perf_counter() - t0) * 1000
+    if witness is not None:
+        return PropertyReport(name, "false", witness, bounds, millis)
+    return PropertyReport(name, "true_up_to_bounds", None, bounds, millis)
 
 
 def is_armendariz(ring: FiniteRing, degree: int = 1) -> PropertyReport:
@@ -414,38 +436,15 @@ def is_armendariz(ring: FiniteRing, degree: int = 1) -> PropertyReport:
     Coefficients range over Z(R): a unit coefficient on either side makes the
     polynomial regular, so such pairs can never multiply to zero.
     """
-    if degree < 1:
-        raise ValueError("degree cap must be >= 1")
-    t0 = time.perf_counter()
     pool = list(zero_divisors(ring).elements)
-    witness = None
-    if pool:
-        blocks = [(None, _tuple_block(pool, degree + 1))]
-        witness = _armendariz_scan(ring, blocks, degree)
-    bounds = {"max_degree": degree, **_ring_bounds(ring)}
-    millis = (time.perf_counter() - t0) * 1000
-    if witness is not None:
-        return PropertyReport("armendariz", "false", witness, bounds, millis)
-    return PropertyReport("armendariz", "true_up_to_bounds", None, bounds, millis)
+    return _armendariz_report("armendariz", ring, [(None, pool)], degree)
 
 
 def is_armendariz_g_graded(ring: FiniteRing, grading: Grading, degree: int = 1) -> PropertyReport:
     """Armendariz condition restricted to homogeneous f, g."""
-    if degree < 1:
-        raise ValueError("degree cap must be >= 1")
-    t0 = time.perf_counter()
     zd = zero_divisors(ring).element_set
-    blocks = []
-    for key in grading.support_keys:
-        pool = sorted(set(grading.support[key].elements) & zd)
-        if pool:
-            blocks.append((key, _tuple_block(pool, degree + 1)))
-    witness = _armendariz_scan(ring, blocks, degree) if blocks else None
-    bounds = {"max_degree": degree, **_ring_bounds(ring)}
-    millis = (time.perf_counter() - t0) * 1000
-    if witness is not None:
-        return PropertyReport("armendariz-graded", "false", witness, bounds, millis)
-    return PropertyReport("armendariz-graded", "true_up_to_bounds", None, bounds, millis)
+    pools = [(key, sorted(set(grading.support[key].elements) & zd)) for key in grading.support_keys]
+    return _armendariz_report("armendariz-graded", ring, pools, degree)
 
 
 # -- Bezout-graded ----------------------------------------------------------------

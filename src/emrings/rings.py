@@ -374,14 +374,9 @@ def divisor_solutions(ring: FiniteRing, c: int, a: int) -> ElementSet:
     return ElementSet(ring, sols)
 
 
-def additive_span(ring: FiniteRing, elems: Iterable[int]) -> np.ndarray:
-    """Smallest additive subgroup containing ``elems``, as a sorted id array."""
-    span = np.unique(np.fromiter(set(elems) | {ring.zero}, dtype=np.int64))
-    while True:
-        bigger = np.unique(ring.add_table[np.ix_(span, span)])
-        if bigger.size == span.size:
-            return span
-        span = bigger
+def additive_span(ring: FiniteRing, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
+    """A + B for additive subgroups A, B (itself a subgroup), as a sorted id array."""
+    return np.unique(ring.add_table[np.ix_(a_ids, b_ids)])
 
 
 def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
@@ -389,9 +384,11 @@ def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     gen_ids = tuple(sorted(set(int(g) for g in gens)))
     if not gen_ids:
         return Ideal(ring, (ring.zero,), generators=())
-    # <g1..gk> = additive span of R*g1 u ... u R*gk  (each R*g is a subgroup)
-    multiples = np.unique(ring.mul_table[list(gen_ids), :])
-    span = additive_span(ring, multiples)
+    # <g1..gk> = g1*R + ... + gk*R, and a generator already inside adds nothing
+    span = _principal(ring, gen_ids[0])[1]
+    for g in gen_ids[1:]:
+        if not (span == g).any():
+            span = additive_span(ring, span, _principal(ring, g)[1])
     return Ideal(ring, tuple(int(x) for x in span), generators=gen_ids)
 
 
@@ -462,8 +459,7 @@ def ideal_lattice(
             for p, pr in reps:
                 if p <= path[-1] or members[p]:
                     continue
-                # the sum of two additive subgroups is a subgroup: one gather
-                joined = np.unique(ring.add_table[np.ix_(ids, pr)])
+                joined = additive_span(ring, ids, pr)
                 key = _membership_key(ring, joined)
                 if key in seen:
                     continue

@@ -304,3 +304,63 @@ def factor_by_content_product(f, a):
         if ideal_generated(ring, set(combo) | set(tail)).elements == full:
             return Polynomial(ring, tuple(combo) + tuple(tail))
     return None
+
+
+def additive_span_closure(ring, elems) -> np.ndarray:
+    """Smallest additive subgroup containing ``elems``, as a sorted id array,
+    by repeated pairwise sums until the set stops growing."""
+    span = np.unique(np.fromiter(set(int(e) for e in elems) | {ring.zero}, dtype=np.int64))
+    while True:
+        bigger = np.unique(ring.add_table[np.ix_(span, span)])
+        if bigger.size == span.size:
+            return span
+        span = bigger
+
+
+def armendariz_scan_loop(ring, blocks, degree: int) -> Optional[dict]:
+    """Find f, g with fg = 0 but some coefficient product nonzero, testing
+    every a_i b_j of each g with fg = 0 one ``ring.mul`` at a time.
+
+    ``blocks`` pairs a tag (component key or None) with a tuple array; pairs
+    are scanned across block pairs in order, f-major, g >= f inside one block.
+    """
+    from emrings.poly import Polynomial, poly_str
+
+    zero = ring.zero
+    width = degree + 1
+    for bi, (tag_f, P) in enumerate(blocks):
+        for bj in range(bi, len(blocks)):
+            tag_g, Q = blocks[bj]
+            for fi in range(len(P)):
+                frow = P[fi]
+                if (frow == zero).all():
+                    continue
+                gs = Q[fi:] if bj == bi else Q
+                base = fi if bj == bi else 0
+                alive = ~np.all(gs == zero, axis=1)
+                prod_zero = np.ones(len(gs), dtype=bool)
+                for k in range(2 * degree + 1):
+                    acc = np.full(len(gs), zero, dtype=np.int64)
+                    for i in range(max(0, k - degree), min(degree, k) + 1):
+                        term = ring.mul_table[frow[i], gs[:, k - i]].astype(np.int64)
+                        acc = ring.add_table[acc, term].astype(np.int64)
+                    prod_zero &= acc == zero
+                    if not prod_zero.any():
+                        break
+                cand = np.nonzero(prod_zero & alive)[0]
+                for gi in cand:
+                    grow = gs[gi]
+                    for i in range(width):
+                        for j in range(width):
+                            if ring.mul(int(frow[i]), int(grow[j])) != zero:
+                                return {
+                                    "f": [int(x) for x in frow],
+                                    "g": [int(x) for x in grow],
+                                    "f_str": poly_str(Polynomial(ring, tuple(frow))),
+                                    "g_str": poly_str(Polynomial(ring, tuple(grow))),
+                                    "component_f": None if tag_f is None else list(tag_f),
+                                    "component_g": None if tag_g is None else list(tag_g),
+                                    "nonzero_product_at": [i, j],
+                                    "g_index": int(base + gi),
+                                }
+    return None

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -43,7 +44,7 @@ from emrings.grading import (
     xn_grading,
 )
 from emrings.poly import bivariate, content_ideal, kronecker_flatten, poly_mul, polynomial
-from emrings.presets import PRESETS, build_preset
+from emrings.presets import PRESETS, build_preset, preset_names
 from emrings.rings import (
     FiniteRing,
     annihilator,
@@ -54,7 +55,13 @@ from emrings.rings import (
     zero_divisors,
 )
 
-from oracles import content_bruteforce, first_subset, t7_grid_failure, table_annihilator
+from oracles import (
+    armendariz_scan_loop,
+    content_bruteforce,
+    first_subset,
+    t7_grid_failure,
+    table_annihilator,
+)
 
 
 def test_content_search_examples(z4, e1, e1_grading):
@@ -285,6 +292,42 @@ def test_armendariz_examples(z4, e1, e1_grading):
     assert is_armendariz_g_graded(e1, e1_grading, 3).holds
     assert is_armendariz(validate_ring(cyclic(5)), 2).holds
     assert is_armendariz(z4, 1).holds
+
+
+def _loop_oracle_report(monkeypatch, decide) -> dict:
+    """``decide()``'s report with the per-product loop in place of the
+    Ann(C(f)) mask scan."""
+    import emrings.analysis as analysis
+
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_armendariz_scan", armendariz_scan_loop)
+        return decide().to_dict(timing=False)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_armendariz_graded_matches_loop_oracle(name, monkeypatch):
+    # t3's degree, except e2-trunc-d1 at 2: the loop needs about 60 s at 3
+    ring, grading = build_preset(name)
+    degree = 3 if ring.order <= 300 and name != "e2-trunc-d1" else 2
+    decide = functools.partial(is_armendariz_g_graded, ring, grading, degree)
+    assert decide().to_dict(timing=False) == _loop_oracle_report(monkeypatch, decide)
+
+
+def test_armendariz_ungraded_matches_loop_oracle(monkeypatch, e1):
+    cases = [functools.partial(is_armendariz_g_graded, e1, trivial_grading(e1), 1)]
+    for name in preset_names():
+        ring, _ = build_preset(name)
+        if ring.order <= 64:
+            cases.append(functools.partial(is_armendariz, ring, 2))
+    verdicts = set()
+    for decide in cases:
+        report = decide().to_dict(timing=False)
+        assert report == _loop_oracle_report(monkeypatch, decide)
+        verdicts.add(report["verdict"])
+    # the trivial grading puts all of e1 in one component: a false witness
+    # on the graded path
+    assert cases[0]().verdict == "false"
+    assert verdicts == {"false", "true_up_to_bounds"}
 
 
 def test_bezout_examples(z6, e1, e1_grading):

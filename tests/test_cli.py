@@ -61,6 +61,14 @@ def test_check_other_properties(capsys):
         assert json.loads(out)["verdict"] == expected, prop
 
 
+def test_oversized_armendariz_degree_is_refused(capsys):
+    # e1 has 8 zero divisors: degree 8 would need 8^9 tuples of 9 coefficients
+    code, _, err = run(capsys, "check", "--ring", "e1", "--property", "armendariz",
+                       "--max-degree", "8")
+    assert code == 1
+    assert "error:" in err and str(8**9) in err
+
+
 def test_find_content_witness(capsys):
     code, out, _ = run(capsys, "find-content", "--ring", "z4", "--poly", "[2,2]",
                        "--format", "json", "--no-timing")

@@ -26,7 +26,7 @@ from emrings.rings import (
 from emrings.grading import homogeneous_elements
 from emrings.presets import build_preset
 
-from oracles import all_permutation_isomorphism, subset_stream
+from oracles import additive_span_closure, all_permutation_isomorphism, subset_stream
 
 
 def test_validate_z4_ok(z4):
@@ -118,6 +118,16 @@ def test_is_principal_matches_generated_ideals(z6, e1):
                 None,
             )
             assert is_principal(ring, ideal) == expected, gens
+
+
+def test_ideal_generated_matches_span_closure(z6, e1):
+    # the fold of g*R sums against the closure of all multiples under pairwise
+    # sums, for every generator pair
+    xn, _ = build_preset("z4-xn-3")
+    for ring in (z6, e1, xn):
+        for gens in itertools.combinations_with_replacement(range(ring.order), 2):
+            expected = additive_span_closure(ring, ring.mul_table[list(gens)].ravel())
+            assert ideal_generated(ring, gens).elements == tuple(int(x) for x in expected), gens
 
 
 def _lattice_pools(z6, e1):
