@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .construct import _decode_all
-from .grading import Grading, homogeneous_elements, is_graded_ideal
+from .grading import Grading, is_graded_ideal
 from .poly import (
     BivariatePolynomial,
     Polynomial,
@@ -39,7 +39,6 @@ from .rings import (
     _principal,
     annihilator_mask,
     ideal_lattice,
-    units,
     zero_divisors,
 )
 
@@ -515,12 +514,6 @@ def check_regular_embedding(grading: Grading) -> PropertyReport:
 
 
 # -- catalog checks ----------------------------------------------------------------
-
-
-def homogeneous_regular_elements(grading: Grading) -> list[int]:
-    ring = grading.ring
-    hom = homogeneous_elements(grading).element_set
-    return sorted(hom & units(ring).element_set)
 
 
 def verify_t5(

@@ -9,7 +9,9 @@ is exhaustive.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+import itertools
+import math
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -19,9 +21,11 @@ DEFAULT_MAX_ORDER = 4096
 
 
 class OrderCapError(ValueError):
-    """Requested ring would exceed the configured order cap."""
+    """Requested ring would exceed the configured order cap.  ``order`` is
+    the order, or the power ``"b^k"`` that gives it when it is too large to
+    write out."""
 
-    def __init__(self, order: int, cap: int):
+    def __init__(self, order: int | str, cap: int):
         super().__init__(
             f"refusing to materialize ring of order {order} (cap {cap}); "
             "raise max_order to allow it"
@@ -33,6 +37,16 @@ class OrderCapError(ValueError):
 def _check_cap(order: int, cap: int) -> None:
     if order > cap:
         raise OrderCapError(order, cap)
+
+
+def _check_power_cap(base: int, exp: int, cap: int) -> None:
+    """Refuse a ring of order ``base**exp`` above ``cap`` before its nb x nb
+    basis-product table is built; the power is only formed when it can be
+    at most ``cap``, since ``base**exp >= 2**exp > cap`` once ``exp`` reaches
+    the bit length of ``cap``."""
+    if base > 1 and exp >= cap.bit_length():
+        raise OrderCapError(f"{base}^{exp}", cap)
+    _check_cap(base**exp, cap)
 
 
 def _decode_all(radices: Sequence[int]) -> np.ndarray:
@@ -155,17 +169,15 @@ def _vector_ring(
     struct: np.ndarray,
     basis_labels: Sequence[str],
     provenance: dict,
-    max_order: int,
 ) -> FiniteRing:
     """Ring on coefficient vectors over ``base`` with basis products ``struct``.
 
     ``struct[i, j]`` is the basis index of the product of basis monomials i
     and j, or -1 when that product is 0 in the quotient.  Multiplication is
-    the induced bilinear map; addition is componentwise.
+    the induced bilinear map; addition is componentwise.  Callers refuse
+    ``base.order ** nb > max_order`` before they build ``struct``.
     """
     nb = len(basis_labels)
-    order = base.order**nb
-    _check_cap(order, max_order)
     radices = [base.order] * nb
     badd, bmul = base.add_table, base.mul_table
     pairs = [
@@ -222,6 +234,7 @@ def poly_quotient_xn(
     """R[x]/(x^n): coefficient vectors (a_0 .. a_{n-1}) with truncation at x^n."""
     if n < 2:
         raise ValueError("poly_quotient_xn needs n >= 2")
+    _check_power_cap(base.order, n, max_order)
     struct = np.array(
         [[i + j if i + j < n else -1 for j in range(n)] for i in range(n)],
         dtype=np.int64,
@@ -234,7 +247,7 @@ def poly_quotient_xn(
         "var": var,
         "base_order": base.order,
     }
-    return _vector_ring(base, struct, basis_labels, prov, max_order)
+    return _vector_ring(base, struct, basis_labels, prov)
 
 
 def _monomial_divides(divisor: Sequence[int], mono: Sequence[int]) -> bool:
@@ -243,22 +256,20 @@ def _monomial_divides(divisor: Sequence[int], mono: Sequence[int]) -> bool:
 
 def monomial_basis(
     nvars: int, relations: Sequence[Sequence[int]], degree: int
-) -> list[tuple[int, ...]]:
-    """Monomials of total degree <= degree not divisible by any relation."""
-    basis: list[tuple[int, ...]] = []
+) -> Iterator[tuple[int, ...]]:
+    """Monomials of total degree <= degree not divisible by any relation, by
+    degree and then with earlier variables first (1, x, y, x^2, xy, y^2, ...).
 
-    def rec(prefix: tuple[int, ...], remaining: int):
-        if len(prefix) == nvars:
-            if not any(_monomial_divides(r, prefix) for r in relations):
-                basis.append(prefix)
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e)
-
-    rec((), degree)
-    # degree-lexicographic with earlier variables first (1, x, y, x^2, ...)
-    basis.sort(key=lambda m: (sum(m), [-e for e in m]))
-    return basis
+    The multisets of variable indices of one degree come lexicographically
+    out of ``combinations_with_replacement``, which is descending order of
+    their exponent vectors."""
+    for k in range(degree + 1):
+        for combo in itertools.combinations_with_replacement(range(nvars), k):
+            mono = [0] * nvars
+            for i in combo:
+                mono[i] += 1
+            if not any(_monomial_divides(r, mono) for r in relations):
+                yield tuple(mono)
 
 
 def _monomial_label(mono: Sequence[int], varnames: Sequence[str]) -> str:
@@ -294,7 +305,11 @@ def monomial_quotient(
             raise ValueError(f"relation {r} is not a monomial in {nvars} variables")
     if varnames is None:
         varnames = ["x", "y", "z"][:nvars] if nvars <= 3 else [f"x{i+1}" for i in range(nvars)]
-    basis = monomial_basis(nvars, rels, degree)
+    base = cyclic(m, max_order=max_order)
+    basis = []
+    for mono in monomial_basis(nvars, rels, degree):
+        basis.append(mono)
+        _check_power_cap(m, len(basis), max_order)
     bidx = {e: k for k, e in enumerate(basis)}
     nb = len(basis)
     struct = np.full((nb, nb), -1, dtype=np.int64)
@@ -311,22 +326,17 @@ def monomial_quotient(
         "d": degree,
         "varnames": list(varnames),
     }
-    ring = _vector_ring(
-        cyclic(m, max_order=max_order),
-        struct,
-        [_monomial_label(e, varnames) for e in basis],
-        prov,
-        max_order,
-    )
+    ring = _vector_ring(base, struct, [_monomial_label(e, varnames) for e in basis], prov)
     ring.aux["basis_monomials"] = basis
     return ring
 
 
 def idealization(base: FiniteRing, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
     """R(+)R on pairs (r, m) with (r1,m1)(r2,m2) = (r1 r2, r1 m2 + r2 m1)."""
+    _check_power_cap(base.order, 2, max_order)
     struct = np.array([[0, 1], [1, -1]], dtype=np.int64)
     prov = {"kind": "idealization", "base": base.provenance, "base_order": base.order}
-    ring = _vector_ring(base, struct, ["1", "ε"], prov, max_order)
+    ring = _vector_ring(base, struct, ["1", "ε"], prov)
     if base.labels is not None:
         coords = _decode_all([base.order, base.order])
         ring.labels = [f"({base.label(int(r))},{base.label(int(mm))})" for r, mm in coords]
@@ -347,7 +357,8 @@ def group_ring(
     mods = [int(m) for m in moduli]
     if any(m < 1 for m in mods):
         raise ValueError("group moduli must be positive")
-    gsize = int(np.prod(mods)) if mods else 1
+    gsize = math.prod(mods)
+    _check_power_cap(base.order, gsize, max_order)
     gelems = [tuple(int(x) for x in row) for row in _decode_all(mods)] if mods else [()]
     gidx = {g: k for k, g in enumerate(gelems)}
     struct = np.empty((gsize, gsize), dtype=np.int64)
@@ -366,7 +377,7 @@ def group_ring(
         "group": mods,
         "base_order": base.order,
     }
-    ring = _vector_ring(base, struct, [glabel(g) for g in gelems], prov, max_order)
+    ring = _vector_ring(base, struct, [glabel(g) for g in gelems], prov)
     ring.aux["group_elements"] = gelems
     return ring
 
@@ -440,8 +451,9 @@ def localization(ring: FiniteRing, grading, s_elems: Iterable[int]):
     reduction"): with e the idempotent power of the product of S, the class
     of (a, s) is e*a*(e*s)^-1, and |S^-1 R| = |eR| <= |R| needs no order cap.
     Returns the localized ring; ``aux['canonical_map']`` maps each ambient
-    element a to the class of a/1 and ``aux['class_pairs']`` lists the
-    first-seen representative pair per class.
+    element a to the class of a/1, the class of e*a, and
+    ``aux['class_pairs']`` lists the first-seen representative pair per
+    class.
     """
     from .grading import homogeneous_elements  # deferred: grading imports rings only
 
@@ -474,13 +486,11 @@ def localization(ring: FiniteRing, grading, s_elems: Iterable[int]):
     inv = corner[np.argmax(rmul[np.ix_(rmul[e, s_arr], corner)] == e, axis=1)]
     value = rmul[rmul[e][:, None], inv[None, :]].ravel()
 
-    # classes numbered by their first pair in (a, s) order
-    pair_a = np.repeat(np.arange(n, dtype=np.int64), ns)
-    pair_s = np.tile(s_arr, n)
-    vals, first, inverse = np.unique(value, return_index=True, return_inverse=True)
+    # classes numbered by their first pair in (a, s) order, pair a*|S| + i
+    # being (a, s_i)
+    vals, first = np.unique(value, return_index=True)
     by_first = np.argsort(first, kind="stable")
-    pair_class = np.argsort(by_first)[inverse]
-    reps = [(int(pair_a[i]), int(pair_s[i])) for i in first[by_first]]
+    reps = [(int(i // ns), int(s_arr[i % ns])) for i in first[by_first]]
     vals = vals[by_first]
 
     # R's tables restricted to eR, renumbered by class, in row blocks
@@ -497,7 +507,7 @@ def localization(ring: FiniteRing, grading, s_elems: Iterable[int]):
         block = vals[start : start + rows]
         for dest, src in ((add, ring.add_table), (mul, rmul)):
             dest[start : start + rows] = of[src[block].take(vals, axis=1)]
-    canonical = pair_class[np.arange(n, dtype=np.int64) * ns + s_ids.index(ring.one)]
+    canonical = of[rmul[e]].astype(np.int64)
     labels = None
     if ring.labels is not None:
         labels = [
@@ -518,10 +528,6 @@ def localization(ring: FiniteRing, grading, s_elems: Iterable[int]):
     out.aux["grading"] = grading
     out.aux["canonical_map"] = canonical
     out.aux["class_pairs"] = reps
-    out.aux["pair_class"] = pair_class
-    out.aux["pair_a"] = pair_a
-    out.aux["pair_s"] = pair_s
-    out.aux["s_ids"] = s_ids
     return out
 
 

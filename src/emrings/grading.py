@@ -146,8 +146,13 @@ def grading_from_dict(ring: FiniteRing, doc: Mapping) -> Grading:
         raise GradingError("malformed-document", "expected {moduli: [int], components: "
                            "[{degree: [int], elements: [int]}]}")
     group = GradingGroup(tuple(doc["moduli"]))
-    comps = {tuple(c["degree"]): c["elements"] for c in comps}
-    return validate_grading(Grading(ring, group, comps))
+    by_degree: dict[DegreeKey, list[int]] = {}
+    for c in comps:
+        key = tuple(c["degree"])
+        if key in by_degree:
+            raise GradingError("duplicate-degree", f"degree {key} appears twice")
+        by_degree[key] = c["elements"]
+    return validate_grading(Grading(ring, group, by_degree))
 
 
 def validate_grading(grading: Grading) -> Grading:
@@ -483,43 +488,21 @@ def product_grading(ring: FiniteRing, factor_gradings: Sequence[Grading]) -> Gra
 def localization_grading(ring: FiniteRing) -> Grading:
     """Grading of S^-1 R with deg(a/s) = deg(a) - deg(s).
 
-    Every class must land in a single component across all its homogeneous
-    presentations; a conflict fails loudly since it can only come from an
-    implementation bug, not from the mathematics.
+    Its component of degree sigma is the image of the base component R_sigma
+    under the canonical map a -> class of a/1 (README, "Localization
+    grading"); validation rejects the result if the images do not sum
+    directly, which can only come from an implementation bug.
     """
     prov = ring.provenance or {}
     if prov.get("kind") != "localization":
         raise ValueError("localization_grading needs a localization ring")
-    base: FiniteRing = ring.aux["base"]
     bgrading: Grading = ring.aux["grading"]
-    pair_class = ring.aux["pair_class"]
-    pair_a = ring.aux["pair_a"]
-    pair_s = ring.aux["pair_s"]
-    group = bgrading.group
-    class_deg: dict[int, DegreeKey] = {}
-    for p in range(len(pair_class)):
-        a, s = int(pair_a[p]), int(pair_s[p])
-        if a == base.zero or s == base.zero:
-            continue
-        da = bgrading.degree_of(a)
-        if da is None:
-            continue
-        ds = bgrading.degree_of(s)
-        cls = int(pair_class[p])
-        if cls == ring.zero:
-            continue
-        lam = group.op(da, group.inverse(ds))
-        seen = class_deg.get(cls)
-        if seen is not None and seen != lam:
-            raise GradingError(
-                "localization-degree-conflict",
-                f"class {cls} presents in degrees {seen} and {lam}",
-            )
-        class_deg[cls] = lam
-    comps: dict[DegreeKey, set[int]] = {}
-    for cls, lam in class_deg.items():
-        comps.setdefault(lam, {ring.zero}).add(cls)
-    return validate_grading(Grading(ring, group, comps))
+    canonical = ring.aux["canonical_map"]
+    comps = {
+        k: canonical[np.fromiter(es.elements, dtype=np.int64)]
+        for k, es in bgrading.support.items()
+    }
+    return validate_grading(Grading(ring, bgrading.group, comps))
 
 
 def square_zero_extension_grading(ring: FiniteRing, base_grading: Grading) -> Grading:

@@ -210,26 +210,15 @@ def _first_bad(ok: np.ndarray) -> tuple[int, ...]:
     return tuple(int(x) for x in np.argwhere(~ok)[0])
 
 
-def validate_ring(candidate, exhaustive: Optional[bool] = None) -> FiniteRing:
-    """Check every ring axiom on a FiniteRing or an interchange mapping.
+def validate_ring(ring: FiniteRing) -> FiniteRing:
+    """Check every ring axiom on a FiniteRing.
 
     Associativity and distributivity are O(N^3); above
     ``EXHAUSTIVE_AXIOM_LIMIT`` they are checked on a deterministic sample of
-    triples unless ``exhaustive=True`` forces the full scan.  All O(N^2)
-    axioms (commutativity, identities, inverses, zero absorption) are always
-    checked in full.  Raises :class:`RingAxiomError` naming the first violated
-    axiom with a witnessing pair or triple.
+    triples.  All O(N^2) axioms (commutativity, identities, inverses, zero
+    absorption) are always checked in full.  Raises :class:`RingAxiomError`
+    naming the first violated axiom with a witnessing pair or triple.
     """
-    if isinstance(candidate, Mapping):
-        ring = FiniteRing(
-            candidate["add"],
-            candidate["mul"],
-            candidate["zero"],
-            candidate["one"],
-            labels=candidate.get("labels"),
-        )
-    else:
-        ring = candidate
     n = ring.order
     add, mul = ring.add_table, ring.mul_table
     zero, one = ring.zero, ring.one
@@ -262,9 +251,7 @@ def validate_ring(candidate, exhaustive: Optional[bool] = None) -> FiniteRing:
     if not ok.all():
         raise RingAxiomError("zero-absorption", _first_bad(ok))
 
-    if exhaustive is None:
-        exhaustive = n <= EXHAUSTIVE_AXIOM_LIMIT
-    if exhaustive:
+    if n <= EXHAUSTIVE_AXIOM_LIMIT:
         for a in range(n):
             ok = add[add[a], :] == add[a][add]
             if not ok.all():

@@ -19,7 +19,6 @@ from .analysis import (
     SearchCaps,
     _component_ideal_hit,
     check_regular_embedding,
-    homogeneous_regular_elements,
     is_armendariz_g_graded,
     is_bezout_g_graded,
     is_em_g_graded,
@@ -34,13 +33,14 @@ from .grading import (
     check_t2_hypotheses,
     check_t8_condition,
     check_t10_condition,
+    homogeneous_elements,
     homogeneous_zero_divisors,
     is_crossed_product,
     is_graded_ideal,
     localization_grading,
     square_zero_extension_grading,
 )
-from .rings import FiniteRing, annihilator, subring, zero_divisors
+from .rings import FiniteRing, annihilator, idempotents, subring, zero_divisors
 
 SUITE_TAGS = [
     "t1", "t2", "c2", "t3", "t4", "c3", "t6", "t8", "t9", "t10", "t11", "c7",
@@ -210,14 +210,20 @@ def _entry_rows(state: _EntryState, armendariz_degree: Optional[int]) -> list[Pr
     (hyp, concl), ms = _timed(t3)
     rows.append(_row("t3", entry, hyp, concl, detail={"max_degree": d_arm}, millis=ms))
 
-    # t4: EM-graded -> localizations at homogeneous multiplicative sets stay EM-graded
+    # t4: EM-graded -> localizations at homogeneous multiplicative sets stay
+    # EM-graded.  S^-1 R is the corner eR of the idempotent power e of the
+    # product of S, which is homogeneous, so the sets {1, e}, one per nonzero
+    # homogeneous idempotent, give every such localization up to graded
+    # isomorphism (README, "Localization grading"); 0 in S gives the zero ring
     def t4():
         hyp = state.em_graded().holds
         if not hyp:
             return hyp, None
-        sets = [[ring.one], homogeneous_regular_elements(grading)]
-        for s in sets:
-            loc = localization(ring, grading, s)
+        hom = homogeneous_elements(grading).element_set
+        for e in idempotents(ring).elements:
+            if e == ring.zero or e not in hom:
+                continue
+            loc = localization(ring, grading, [ring.one, e])
             if not is_em_g_graded(loc, localization_grading(loc)).holds:
                 return hyp, False
         return hyp, True

@@ -288,6 +288,39 @@ def localization_classes(ring, s_ids) -> dict:
     }
 
 
+def localization_grading_pairs(loc, pair_class, s_ids):
+    """Support of the grading of the localization ``loc`` with
+    deg(a/s) = deg(a) - deg(s), found by walking every pair (a, s) the
+    class search numbered in ``pair_class`` (pair a*|S| + i is (a, s_i)):
+    the pair loop the canonical-map images replace.  Maps each degree to
+    its sorted class ids, 0 included; a class seen in two degrees raises."""
+    base, grading = loc.aux["base"], loc.aux["grading"]
+    group = grading.group
+    ns = len(s_ids)
+    class_deg: dict = {}
+    for p, cls in enumerate(pair_class):
+        a, s = p // ns, s_ids[p % ns]
+        da = grading.degree_of(a)
+        if da is None or s == base.zero or cls == loc.zero:
+            continue
+        lam = group.op(da, group.inverse(grading.degree_of(s)))
+        if class_deg.setdefault(int(cls), lam) != lam:
+            raise AssertionError(f"class {cls} presents in degrees {class_deg[cls]} and {lam}")
+    comps: dict = {}
+    for cls, lam in class_deg.items():
+        comps.setdefault(lam, {loc.zero}).add(cls)
+    return {k: tuple(sorted(v)) for k, v in sorted(comps.items())}
+
+
+def homogeneous_units(grading) -> list:
+    """The homogeneous regular elements, which in a finite ring are the
+    homogeneous units: the set hT(R) localizes at."""
+    from emrings.grading import homogeneous_elements
+    from emrings.rings import units
+
+    return sorted(homogeneous_elements(grading).element_set & units(grading.ring).element_set)
+
+
 def factor_by_content_product(f, a):
     """g with f = a*g and C(g) = R by trying every choice of per-coefficient
     quotients in ``itertools.product`` order, each followed by all of

@@ -7,6 +7,7 @@ fresh ring builds at a higher worker count and compares serialized bytes.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -354,6 +355,14 @@ def test_criterion_8_theorem_suite():
          f"({elapsed['c8']:.1f}s)")
     assert ok
     assert elapsed["c8"] < 900
+
+
+def test_criterion_8_rows_match_golden():
+    """The suite's rows are pinned byte for byte: a change of any verdict,
+    bound or row set shows here."""
+    docs, _ = _criteria_documents(1)
+    text = json.dumps(docs["c8"]["rows"], indent=2, sort_keys=True) + "\n"
+    assert text == (Path(__file__).parent / "golden" / "suite.json").read_text()
 
 
 def test_criterion_9_determinism_across_jobs():

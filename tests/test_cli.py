@@ -168,6 +168,53 @@ def test_bad_ring_file(tmp_path, capsys):
         assert code == 1 and "error:" in err and "Traceback" not in err, doc
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "polyQuotientXn", "base": {"kind": "cyclic", "n": 2}, "n": 20000},
+        {"kind": "groupRing", "base": {"kind": "cyclic", "n": 2}, "group": [3000]},
+        {"kind": "monomialQuotient", "m": 2, "v": 60, "d": 3},
+        {"kind": "monomialQuotient", "m": 2, "v": 1500, "d": 1},
+    ],
+)
+def test_oversized_construction_fails_fast(tmp_path, capsys, doc):
+    """The order cap is checked before the basis and its basis-product table
+    are built: no long build, large allocation or deep recursion first."""
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "describe", "--ring", str(spec))
+    assert code == 1 and "error: refusing to materialize" in err
+
+
+@pytest.mark.parametrize("components, clause, detail", [
+    ([{"degree": [0], "elements": [0, 1]}, {"degree": [1], "elements": [0, 2, 3]}],
+     "not-a-subgroup", "1 + 1"),
+    # the same degree twice, written out or after reduction mod 2
+    ([{"degree": [0], "elements": [0, 2]}, {"degree": [0], "elements": [0, 1, 2, 3]}],
+     "duplicate-degree", "(0,)"),
+    ([{"degree": [0], "elements": [0, 1, 2, 3]}, {"degree": [2], "elements": [0, 2]}],
+     "duplicate-degree", "(0,)"),
+])
+def test_grading_valid_answers_false_on_a_broken_axiom(tmp_path, capsys, components,
+                                                       clause, detail):
+    grading = tmp_path / "grading.json"
+    grading.write_text(json.dumps({"moduli": [2], "components": components}))
+    code, out, _ = run(capsys, "check", "--ring", "z4", "--property", "grading-valid",
+                       "--grading", str(grading), "--format", "json", "--no-timing")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "false"
+    assert doc["witness"]["clause"] == clause and detail in doc["witness"]["detail"]
+
+
+def test_grading_valid_malformed_document_is_an_input_error(tmp_path, capsys):
+    grading = tmp_path / "grading.json"
+    grading.write_text(json.dumps({"moduli": [2], "components": {"0": [0, 1]}}))
+    code, _, err = run(capsys, "check", "--ring", "z4", "--property", "grading-valid",
+                       "--grading", str(grading))
+    assert code == 1 and "error:" in err and "malformed-document" in err
+
+
 @pytest.mark.parametrize("prop", ["em", "em-graded"])
 def test_jobs_do_not_change_check_output(capsys, prop):
     outs = []

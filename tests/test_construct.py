@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -13,13 +14,18 @@ from emrings.construct import (
     group_ring,
     idealization,
     localization,
+    monomial_basis,
     monomial_quotient,
     poly_quotient_xn,
     product_embed,
     product_project,
 )
-from emrings.analysis import homogeneous_regular_elements
-from emrings.grading import grading_for_spec, homogeneous_elements, trivial_grading
+from emrings.grading import (
+    grading_for_spec,
+    homogeneous_elements,
+    localization_grading,
+    trivial_grading,
+)
 from emrings.presets import PRESETS, build_preset
 from emrings.rings import (
     find_isomorphism,
@@ -31,7 +37,9 @@ from emrings.rings import (
 
 from oracles import (
     all_permutation_isomorphism,
+    homogeneous_units,
     localization_classes,
+    localization_grading_pairs,
     product_rows,
     vector_ring_rows,
 )
@@ -94,6 +102,21 @@ def test_monomial_quotient_basis_and_order():
     ring, _ = build_preset("e2-trunc-d2")  # monomial_quotient(6, 2, [[1, 1]], 2)
     assert ring.aux["basis_monomials"] == [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2)]
     assert ring.order == 6**5
+
+
+@pytest.mark.parametrize("nvars, relations, degree", [
+    (1, [], 4), (2, [[1, 1]], 2), (3, [[2, 0, 0], [0, 1, 1]], 3), (4, [], 2),
+])
+def test_monomial_basis_order(nvars, relations, degree):
+    """By degree, then descending exponent vectors (earlier variables
+    first), divisible monomials left out."""
+    expected = sorted(
+        (m for m in itertools.product(range(degree + 1), repeat=nvars)
+         if sum(m) <= degree
+         and not any(all(r <= e for r, e in zip(rel, m)) for rel in relations)),
+        key=lambda m: (sum(m), [-e for e in m]),
+    )
+    assert list(monomial_basis(nvars, relations, degree)) == expected
 
 
 def test_monomial_quotient_matches_poly_quotient(z4):
@@ -219,17 +242,21 @@ def test_localization_validates_input(z6):
 
 
 def _assert_matches_class_search(ring, grading, s):
+    """Tables, canonical map, representatives, labels and grading of the
+    localization at ``s`` equal the former class search and pair loop."""
+    s_ids = sorted(set(s))
     loc = localization(ring, grading, s)
-    expected = localization_classes(ring, sorted(set(s)))
+    expected = localization_classes(ring, s_ids)
     for got, want in (
         (loc.add_table, expected["add"]),
         (loc.mul_table, expected["mul"]),
-        (loc.aux["pair_class"], expected["pair_class"]),
         (loc.aux["canonical_map"], expected["canonical_map"]),
     ):
         assert got.dtype == want.dtype and np.array_equal(got, want), (s, got, want)
     assert loc.aux["class_pairs"] == expected["class_pairs"], s
     assert loc.labels == expected["labels"], s
+    support = {k: es.elements for k, es in localization_grading(loc).support.items()}
+    assert support == localization_grading_pairs(loc, expected["pair_class"], s_ids), s
     return loc
 
 
@@ -251,16 +278,18 @@ _MID_SPEC = {"kind": "monomialQuotient", "m": 4, "v": 2, "relations": [[1, 1]], 
 )
 def test_localization_matches_class_search_oracle(name):
     """The corner-ring localization gives the former class search's tables,
-    classes, representatives and labels at {1}, at the homogeneous units and
-    at the power closure of every nonzero homogeneous element, on every
-    preset of order <= 216 and on the order-1024 ring of _MID_SPEC."""
+    canonical map, representatives and labels, and its grading is the former
+    pair loop's, at {1}, at the homogeneous units and at the power closure
+    of every nonzero homogeneous element (for a homogeneous idempotent e
+    that is {1, e}, t4's set), on every preset of order <= 216 and on the
+    order-1024 ring of _MID_SPEC."""
     if name == "z4-xy-trunc-d2":
         ring = build_spec(_MID_SPEC)
         grading = grading_for_spec(ring, "canonical")
     else:
         ring, grading = build_preset(name)
         assert ring.order <= 216
-    sets = [[ring.one], homogeneous_regular_elements(grading)]
+    sets = [[ring.one], homogeneous_units(grading)]
     for x in sorted(homogeneous_elements(grading).element_set - {ring.zero}):
         sets.append(_power_closure(ring, x))
     for s in sets:
@@ -421,7 +450,7 @@ def test_vector_tables_match_rowwise_oracle_for_any_struct(data):
         ),
         dtype=np.int64,
     )
-    ring = _vector_ring(base, struct, [f"b{i}" for i in range(nb)], {}, 4096)
+    ring = _vector_ring(base, struct, [f"b{i}" for i in range(nb)], {})
     _assert_tables_equal(
         vector_ring_rows(base, struct), (ring.add_table, ring.mul_table)
     )

@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 
 from emrings.analysis import SearchCaps
+from emrings.construct import localization
+from emrings.grading import homogeneous_elements
 from emrings.presets import preset_corpus
-from emrings.rings import ideal_lattice, zero_divisors
+from emrings.rings import idempotents, ideal_lattice, zero_divisors
 from emrings.theorems import CorpusEntry, _row, suite_failures, theorem_suite
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -88,6 +90,33 @@ def test_l2_lattice_over_zero_divisors_misses_only_r():
             if any(e not in zd for e in pool):
                 reduced.add(tuple(range(ring.order)))
             assert full == reduced, (entry.name, key)
+
+
+@pytest.mark.parametrize(
+    "name, orders",
+    [("z6", [6, 2, 3]), ("prod-e1sm", [4, 4, 16]), ("e2-trunc-d1", [216, 8, 27])],
+)
+def test_t4_localizes_at_one_and_each_homogeneous_idempotent(monkeypatch, name, orders):
+    """t4 localizes at {1, e} for each nonzero homogeneous idempotent e in
+    ascending id order, and at nothing else; e = 1 gives R, the others the
+    proper corners eR (prod-e1sm's 1 has id 5)."""
+    import emrings.theorems as theorems
+
+    seen = []
+
+    def recording(ring, grading, s):
+        loc = localization(ring, grading, s)
+        seen.append((set(s), loc.order))
+        return loc
+
+    monkeypatch.setattr(theorems, "localization", recording)
+    entry = preset_corpus([name])[0]
+    rows = _by_name(theorem_suite([entry]))
+    assert rows[f"t4@{name}"].bounds == {"hypothesis": True, "conclusion": True}
+    ring, hom = entry.ring, homogeneous_elements(entry.grading).element_set
+    expected = [e for e in idempotents(ring).elements if e != ring.zero and e in hom]
+    assert [s for s, _ in seen] == [{ring.one, e} for e in expected]
+    assert [order for _, order in seen] == orders
 
 
 def test_benchmark_tracer_finds_every_traced_function():
