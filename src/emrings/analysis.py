@@ -9,8 +9,10 @@ algorithm notes, then validated against unrestricted brute force).
 
 Every decider returns a :class:`PropertyReport` whose false verdicts carry a
 re-checkable counterexample and whose bounded verdicts list the caps used.
-Candidate and ideal scans run sequentially in canonical order and stop at
-the first hit, so verdicts and witnesses are deterministic.
+The ideal-lattice deciders share one scan (``_lattice_hit``, over tagged
+pools) and one report (``_report``).  Candidate and ideal scans run
+sequentially in canonical order and stop at the first hit, so verdicts and
+witnesses are deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .construct import _decode_all
-from .grading import Grading, is_graded_ideal
+from .grading import Grading, check_t2_hypotheses, is_graded_ideal
 from .poly import (
     BivariatePolynomial,
     Polynomial,
@@ -138,6 +140,53 @@ def first_hit(items: Iterable, check: Callable):
         if payload is not None:
             return item, payload
     return None
+
+
+def _ring_bounds(ring: FiniteRing) -> dict:
+    prov = ring.provenance or {}
+    if prov.get("kind") == "monomialQuotient":
+        return {"truncated_at_degree": prov["d"]}
+    return {}
+
+
+def _lattice_hit(
+    ring: FiniteRing, pools: Iterable, check: Callable, max_gens: Optional[int] = None
+):
+    """First (tag, payload) of ``check`` over the ideals generated by subsets
+    of each (tag, pool) in turn, the pools in the order given; None when
+    every ideal passes.  The tag is a component key, or None when ungraded."""
+    for tag, pool in pools:
+        hit = first_hit(ideal_lattice(ring, pool, max_gens), check)
+        if hit is not None:
+            return tag, hit[1]
+    return None
+
+
+def _component_pools(ring: FiniteRing, grading: Grading) -> list:
+    """(key, nonzero zero divisors of R_key) for each support component, in
+    key order: a homogeneous coefficient set lies in one component, and a
+    unit coefficient makes a polynomial regular."""
+    zd = zero_divisors(ring).element_set
+    return [
+        (key, set(grading.support[key].elements) & zd - {ring.zero})
+        for key in grading.support_keys
+    ]
+
+
+def _report(
+    name: str, ring: FiniteRing, t0: float, hit, bounds: Optional[dict] = None, holds: str = "true"
+) -> PropertyReport:
+    """The report of a scan started at ``t0``: verdict ``holds`` when ``hit``
+    is None, else false with the hit's witness, which also names the
+    component when the hit's tag is one."""
+    bounds = {**(bounds or {}), **_ring_bounds(ring)}
+    millis = (time.perf_counter() - t0) * 1000
+    if hit is None:
+        return PropertyReport(name, holds, None, bounds, millis)
+    tag, witness = hit
+    if tag is not None:
+        witness = {**witness, "component": list(tag)}
+    return PropertyReport(name, "false", witness, bounds, millis)
 
 
 # -- candidate machinery -------------------------------------------------------
@@ -266,13 +315,6 @@ def find_annihilating_content(
 # -- EM deciders ----------------------------------------------------------------
 
 
-def _ring_bounds(ring: FiniteRing) -> dict:
-    prov = ring.provenance or {}
-    if prov.get("kind") == "monomialQuotient":
-        return {"truncated_at_degree": prov["d"]}
-    return {}
-
-
 def _em_failure(ring: FiniteRing, ideal) -> Optional[dict]:
     """Witness that the ideal's generators, taken as coefficients, give a
     zero-divisor polynomial with no annihilating content; else None."""
@@ -291,19 +333,6 @@ def _em_failure(ring: FiniteRing, ideal) -> Optional[dict]:
     }
 
 
-def _component_ideal_hit(ring: FiniteRing, grading: Grading, check: Callable):
-    """First (component key, payload) of ``check`` over the ideals generated
-    by subsets of one component's nonzero zero divisors, component by
-    component in key order; None when every ideal passes."""
-    zd = zero_divisors(ring).element_set
-    for key in grading.support_keys:
-        pool = set(grading.support[key].elements) & zd - {ring.zero}
-        hit = first_hit(ideal_lattice(ring, pool), check)
-        if hit is not None:
-            return key, hit[1]
-    return None
-
-
 def is_em_subset(
     ring: FiniteRing, elems: Iterable[int], *, name: str = "em-subset"
 ) -> PropertyReport:
@@ -319,12 +348,8 @@ def is_em_subset(
     t0 = time.perf_counter()
     zd = zero_divisors(ring).element_set
     pool = set(int(e) for e in elems) & zd - {ring.zero}
-    hit = first_hit(ideal_lattice(ring, pool), lambda ideal: _em_failure(ring, ideal))
-    bounds = _ring_bounds(ring)
-    millis = (time.perf_counter() - t0) * 1000
-    if hit is not None:
-        return PropertyReport(name, "false", hit[1], bounds, millis)
-    return PropertyReport(name, "true", None, bounds, millis)
+    hit = _lattice_hit(ring, [(None, pool)], lambda ideal: _em_failure(ring, ideal))
+    return _report(name, ring, t0, hit)
 
 
 def is_em_ring(ring: FiniteRing) -> PropertyReport:
@@ -340,13 +365,9 @@ def is_em_g_graded(ring: FiniteRing, grading: Grading) -> PropertyReport:
     a false witness also names the component.
     """
     t0 = time.perf_counter()
-    hit = _component_ideal_hit(ring, grading, lambda ideal: _em_failure(ring, ideal))
-    bounds = _ring_bounds(ring)
-    millis = (time.perf_counter() - t0) * 1000
-    if hit is not None:
-        witness = {**hit[1], "component": list(hit[0])}
-        return PropertyReport("em-graded", "false", witness, bounds, millis)
-    return PropertyReport("em-graded", "true", None, bounds, millis)
+    pools = _component_pools(ring, grading)
+    hit = _lattice_hit(ring, pools, lambda ideal: _em_failure(ring, ideal))
+    return _report("em-graded", ring, t0, hit)
 
 
 # -- Armendariz deciders ----------------------------------------------------------
@@ -422,11 +443,8 @@ def _armendariz_report(name: str, ring: FiniteRing, pools: list, degree: int) ->
     t0 = time.perf_counter()
     blocks = [(tag, _tuple_block(pool, degree + 1)) for tag, pool in pools if pool]
     witness = _armendariz_scan(ring, blocks, degree)
-    bounds = {"max_degree": degree, **_ring_bounds(ring)}
-    millis = (time.perf_counter() - t0) * 1000
-    if witness is not None:
-        return PropertyReport(name, "false", witness, bounds, millis)
-    return PropertyReport(name, "true_up_to_bounds", None, bounds, millis)
+    hit = None if witness is None else (None, witness)
+    return _report(name, ring, t0, hit, {"max_degree": degree}, holds="true_up_to_bounds")
 
 
 def is_armendariz(ring: FiniteRing, degree: int = 1) -> PropertyReport:
@@ -467,12 +485,8 @@ def is_bezout_g_graded(ring: FiniteRing, grading: Grading, k: int = 2) -> Proper
             return None
         return {"generators": [int(g) for g in ideal.generators], "ideal_size": len(ideal)}
 
-    hit = first_hit(ideal_lattice(ring, range(ring.order), k), check)
-    bounds = {"generator_cap": k, **_ring_bounds(ring)}
-    millis = (time.perf_counter() - t0) * 1000
-    if hit is not None:
-        return PropertyReport("bezout-graded", "false", hit[1], bounds, millis)
-    return PropertyReport("bezout-graded", "true", None, bounds, millis)
+    hit = _lattice_hit(ring, [(None, range(ring.order))], check, k)
+    return _report("bezout-graded", ring, t0, hit, {"generator_cap": k})
 
 
 # -- regular embedding (identity component into the whole ring) --------------------
@@ -481,8 +495,6 @@ def is_bezout_g_graded(ring: FiniteRing, grading: Grading, k: int = 2) -> Proper
 def check_regular_embedding(grading: Grading) -> PropertyReport:
     """Tuples over R_e with trivial annihilator inside R_e must stay regular
     in R.  Precondition: the component-cyclicity hypotheses hold."""
-    from .grading import check_t2_hypotheses
-
     ok, _ = check_t2_hypotheses(grading)
     if not ok:
         raise ValueError("regular-embedding check requires the component hypotheses")
@@ -505,12 +517,8 @@ def check_regular_embedding(grading: Grading) -> PropertyReport:
             }
         return None
 
-    hit = first_hit(ideal_lattice(ring, pool), check)
-    bounds = _ring_bounds(ring)
-    millis = (time.perf_counter() - t0) * 1000
-    if hit is not None:
-        return PropertyReport("regular-embedding", "false", hit[1], bounds, millis)
-    return PropertyReport("regular-embedding", "true", None, bounds, millis)
+    hit = _lattice_hit(ring, [(None, pool)], check)
+    return _report("regular-embedding", ring, t0, hit)
 
 
 # -- catalog checks ----------------------------------------------------------------
@@ -533,11 +541,9 @@ def verify_t5(
     t0 = time.perf_counter()
     if em_report is None:
         em_report = is_em_g_graded(ring, grading)
-    bounds = {**_ring_bounds(ring)}
     if not em_report.holds:
-        millis = (time.perf_counter() - t0) * 1000
-        bounds["skipped"] = "hypothesis not satisfied"
-        return PropertyReport("t5", "true_up_to_bounds", None, bounds, millis)
+        skipped = {"skipped": "hypothesis not satisfied"}
+        return _report("t5", ring, t0, None, skipped, holds="true_up_to_bounds")
 
     ann_sizes = (ring.mul_table == ring.zero).sum(axis=0)
 
@@ -554,12 +560,7 @@ def verify_t5(
             "classified": "internal-bug-indicator",
         }
 
-    hit = _component_ideal_hit(ring, grading, check)
-    millis = (time.perf_counter() - t0) * 1000
-    if hit is not None:
-        witness = {**hit[1], "component": list(hit[0])}
-        return PropertyReport("t5", "false", witness, bounds, millis)
-    return PropertyReport("t5", "true", None, bounds, millis)
+    return _report("t5", ring, t0, _lattice_hit(ring, _component_pools(ring, grading), check))
 
 
 def ideal_grid(ring: FiniteRing, generators: Sequence[int]) -> BivariatePolynomial:
@@ -616,20 +617,18 @@ def verify_t7_bounded(
     :func:`check_bivariate_content` runs once per ideal generated by a
     subset of one component's nonzero zero divisors, on its generators laid
     out by :func:`ideal_grid`, and the verdict is exhaustive.  Failures
-    indicate an artifact bug.  The name predates the reduction and is kept
-    because the benchmark's tracer looks the function up by it.
+    indicate an artifact bug; a false witness names its component.  The
+    name predates the reduction and is kept because the benchmark's tracer
+    looks the function up by it.
     """
     if em_report is None:
         em_report = is_em_g_graded(ring, grading)
     if not em_report.holds:
         raise ValueError("t7 check requires an EM-graded ring")
     t0 = time.perf_counter()
-    hit = _component_ideal_hit(
-        ring, grading, lambda ideal: check_bivariate_content(ideal_grid(ring, ideal.generators))
-    )
-    bounds = _ring_bounds(ring)
-    millis = (time.perf_counter() - t0) * 1000
-    if hit is not None:
-        witness = {**hit[1], "classified": "internal-bug-indicator"}
-        return PropertyReport("t7", "false", witness, bounds, millis)
-    return PropertyReport("t7", "true", None, bounds, millis)
+
+    def check(ideal):
+        failure = check_bivariate_content(ideal_grid(ring, ideal.generators))
+        return None if failure is None else {**failure, "classified": "internal-bug-indicator"}
+
+    return _report("t7", ring, t0, _lattice_hit(ring, _component_pools(ring, grading), check))

@@ -273,8 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="degree bound of check --property armendariz/armendariz-graded")
     common.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
                         help="largest ring order constructions may materialize")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; has no effect (scans are sequential)")
     common.add_argument("--format", choices=["text", "json"], default="text")
     common.add_argument("--report-homogeneous-content", action="store_true",
                         help="also search for a homogeneous annihilating content")

@@ -40,12 +40,12 @@ def _check_cap(order: int, cap: int) -> None:
 
 
 def _check_power_cap(base: int, exp: int, cap: int) -> None:
-    """Refuse a ring of order ``base**exp`` above ``cap`` before its nb x nb
-    basis-product table is built; the power is only formed when it can be
-    at most ``cap``, since ``base**exp >= 2**exp > cap`` once ``exp`` reaches
-    the bit length of ``cap``."""
-    if base > 1 and exp >= cap.bit_length():
-        raise OrderCapError(f"{base}^{exp}", cap)
+    """Refuse a ring of order ``base**exp`` above ``cap``, and any basis of
+    ``cap.bit_length()`` or more elements whatever the base order (over
+    Z_1 the order stays 1 as the table grows), before the exp x exp
+    basis-product table is built; the power is only formed below that."""
+    if exp >= cap.bit_length():
+        raise OrderCapError(f"{base}^{exp} (a basis of {exp} elements)", cap)
     _check_cap(base**exp, cap)
 
 

@@ -17,7 +17,9 @@ from typing import Optional
 from .analysis import (
     PropertyReport,
     SearchCaps,
-    _component_ideal_hit,
+    _component_pools,
+    _lattice_hit,
+    _ring_bounds,
     check_regular_embedding,
     is_armendariz_g_graded,
     is_bezout_g_graded,
@@ -40,7 +42,7 @@ from .grading import (
     localization_grading,
     square_zero_extension_grading,
 )
-from .rings import FiniteRing, annihilator, idempotents, subring, zero_divisors
+from .rings import FiniteRing, annihilator, idempotents, subring
 
 SUITE_TAGS = [
     "t1", "t2", "c2", "t3", "t4", "c3", "t6", "t8", "t9", "t10", "t11", "c7",
@@ -134,10 +136,23 @@ def _biconditional_row(
     )
 
 
-def _timed(fn):
+def _implication(tag, entry, hypothesis, conclusion, detail=None) -> PropertyReport:
+    """Row of ``hypothesis -> conclusion``, both callables returning a bool,
+    timed together; the conclusion is decided only when the hypothesis
+    holds.  A None hypothesis means the extension cap skipped the row."""
     t0 = time.perf_counter()
-    out = fn()
-    return out, (time.perf_counter() - t0) * 1000
+    hyp = hypothesis()
+    if hyp is None:
+        return _row(tag, entry, None, None, skipped="extension order cap")
+    concl = conclusion() if hyp else None
+    return _row(tag, entry, hyp, concl, detail=detail, millis=(time.perf_counter() - t0) * 1000)
+
+
+def _biconditional(tag, entry, left, right) -> PropertyReport:
+    """Row of ``left <-> right``, both callables returning a bool, timed together."""
+    t0 = time.perf_counter()
+    sides = left(), right()
+    return _biconditional_row(tag, entry, *sides, {}, (time.perf_counter() - t0) * 1000)
 
 
 def theorem_suite(
@@ -162,197 +177,124 @@ def theorem_suite(
 def _entry_rows(state: _EntryState, armendariz_degree: Optional[int]) -> list[PropertyReport]:
     entry = state.entry
     ring, grading = entry.ring, entry.grading
-    rows: list[PropertyReport] = []
-    d_arm = armendariz_degree if armendariz_degree is not None else (
-        3 if ring.order <= 300 else 2
-    )
+    d_arm = (3 if ring.order <= 300 else 2) if armendariz_degree is None else armendariz_degree
+
+    def em_graded() -> bool:
+        return state.em_graded().holds
+
+    def re_em() -> bool:
+        return state.identity_subring_em().holds
 
     # t1: EM-graded iff every component is an EM-subset.  is_em_g_graded
-    # decides EM-graded by that very per-component scan, so what is left to
-    # check is the support identity hZ(R) = union of the components' zero
-    # divisors, which makes the components' scans cover hZ(R)
-    def t1():
-        zd = zero_divisors(ring).element_set
-        union = {ring.zero}
-        for k in grading.support_keys:
-            union |= set(grading.support[k].elements) & zd
-        return union == (set(homogeneous_zero_divisors(grading).elements) | {ring.zero})
+    # decides EM-graded by that very scan, so the row checks that its pools
+    # cover hZ(R), which holds by construction
+    def support_identity() -> bool:
+        union = {ring.zero}.union(*(pool for _, pool in _component_pools(ring, grading)))
+        return union == set(homogeneous_zero_divisors(grading).elements) | {ring.zero}
 
-    out, ms = _timed(t1)
-    rows.append(_biconditional_row("t1", entry, out, True, {}, ms))
-
-    # t2: component-cyclicity hypotheses + R_e an EM-ring -> EM-graded
-    def t2():
-        hyp = state.t2()[0] and state.identity_subring_em().holds
-        concl = state.em_graded().holds if hyp else None
-        return hyp, concl
-
-    (hyp, concl), ms = _timed(t2)
-    rows.append(_row("t2", entry, hyp, concl, millis=ms))
-
-    # c2: crossed product + R_e an EM-ring -> EM-graded
-    def c2():
-        hyp = is_crossed_product(grading)[0] and state.identity_subring_em().holds
-        concl = state.em_graded().holds if hyp else None
-        return hyp, concl
-
-    (hyp, concl), ms = _timed(c2)
-    rows.append(_row("c2", entry, hyp, concl, millis=ms))
-
-    # t3: EM-graded -> Armendariz-graded (bounded degree)
-    def t3():
-        hyp = state.em_graded().holds
-        concl = (
-            is_armendariz_g_graded(ring, grading, d_arm).holds if hyp else None
-        )
-        return hyp, concl
-
-    (hyp, concl), ms = _timed(t3)
-    rows.append(_row("t3", entry, hyp, concl, detail={"max_degree": d_arm}, millis=ms))
+    rows = [
+        _biconditional("t1", entry, support_identity, lambda: True),
+        # t2: component-cyclicity hypotheses + R_e an EM-ring -> EM-graded
+        _implication("t2", entry, lambda: state.t2()[0] and re_em(), em_graded),
+        # c2: crossed product + R_e an EM-ring -> EM-graded
+        _implication("c2", entry, lambda: is_crossed_product(grading)[0] and re_em(), em_graded),
+        # t3: EM-graded -> Armendariz-graded (bounded degree)
+        _implication(
+            "t3", entry, em_graded,
+            lambda: is_armendariz_g_graded(ring, grading, d_arm).holds,
+            detail={"max_degree": d_arm},
+        ),
+    ]
 
     # t4: EM-graded -> localizations at homogeneous multiplicative sets stay
-    # EM-graded.  S^-1 R is the corner eR of the idempotent power e of the
-    # product of S, which is homogeneous, so the sets {1, e}, one per nonzero
-    # homogeneous idempotent, give every such localization up to graded
-    # isomorphism (README, "Localization grading"); 0 in S gives the zero ring
-    def t4():
-        hyp = state.em_graded().holds
-        if not hyp:
-            return hyp, None
+    # EM-graded.  Up to graded isomorphism these are the corners eR = {1, e}^-1 R,
+    # one per nonzero homogeneous idempotent e (README, "Localization grading");
+    # e = 1 gives R itself, whose verdict is the hypothesis, and 0 in S the zero ring
+    def corners_em_graded() -> bool:
         hom = homogeneous_elements(grading).element_set
         for e in idempotents(ring).elements:
-            if e == ring.zero or e not in hom:
+            if e in (ring.zero, ring.one) or e not in hom:
                 continue
             loc = localization(ring, grading, [ring.one, e])
             if not is_em_g_graded(loc, localization_grading(loc)).holds:
-                return hyp, False
-        return hyp, True
+                return False
+        return True
 
-    (hyp, concl), ms = _timed(t4)
-    rows.append(_row("t4", entry, hyp, concl, millis=ms))
+    rows.append(_implication("t4", entry, em_graded, corners_em_graded))
 
     # c3: Bezout-graded -> EM-graded
-    def c3():
-        hyp = is_bezout_g_graded(ring, grading, BEZOUT_GENERATORS).holds
-        concl = state.em_graded().holds if hyp else None
-        return hyp, concl
-
-    (hyp, concl), ms = _timed(c3)
-    rows.append(
-        _row("c3", entry, hyp, concl, detail={"generator_cap": BEZOUT_GENERATORS}, millis=ms)
-    )
+    rows.append(_implication(
+        "c3", entry, lambda: is_bezout_g_graded(ring, grading, BEZOUT_GENERATORS).holds,
+        em_graded, detail={"generator_cap": BEZOUT_GENERATORS},
+    ))
 
     # t6: a product is EM-graded iff every factor is (product entries only)
     if (ring.provenance or {}).get("kind") == "product":
-        def t6():
-            left = state.em_graded().holds
-            right = True
-            for factor in ring.aux["factors"]:
-                fg = canonical_grading(factor)
-                if not is_em_g_graded(factor, fg).holds:
-                    right = False
-                    break
-            return left, right
+        rows.append(_biconditional("t6", entry, em_graded, lambda: all(
+            is_em_g_graded(factor, canonical_grading(factor)).holds
+            for factor in ring.aux["factors"]
+        )))
 
-        (left, right), ms = _timed(t6)
-        rows.append(_biconditional_row("t6", entry, left, right, {}, ms))
-
-    # t8: no nonzero homogeneous zero divisors -> R[X]/(X^2) is EM-graded
+    # t8: no nonzero homogeneous zero divisors -> R[X]/(X^2) is EM-graded;
+    # t9: R[X]/(X^2) EM-graded -> R EM-graded.  built is None when the
+    # extension is over its cap, which skips the row
     ext = state.square_zero_extension()
-    def t8():
-        hyp = check_t8_condition(grading)
-        if not hyp:
-            return hyp, None
-        if ext is None:
-            return None, None
-        ext_ring, lifted = ext
-        return hyp, is_em_g_graded(ext_ring, lifted).holds
+    built = None if ext is None else True
 
-    (hyp, concl), ms = _timed(t8)
-    if hyp is None:
-        rows.append(_row("t8", entry, None, None, skipped="extension order cap"))
-    else:
-        rows.append(_row("t8", entry, hyp, concl, millis=ms))
+    def ext_em_graded() -> bool:
+        return is_em_g_graded(*ext).holds
 
-    # t9: R[X]/(X^2) EM-graded -> R EM-graded
-    if ext is None:
-        rows.append(_row("t9", entry, None, None, skipped="extension order cap"))
-    else:
-        def t9():
-            ext_ring, lifted = ext
-            hyp = is_em_g_graded(ext_ring, lifted).holds
-            concl = state.em_graded().holds if hyp else None
-            return hyp, concl
-
-        (hyp, concl), ms = _timed(t9)
-        rows.append(_row("t9", entry, hyp, concl, millis=ms))
+    rows.append(_implication(
+        "t8", entry, lambda: check_t8_condition(grading) and built, ext_em_graded
+    ))
+    rows.append(_implication("t9", entry, lambda: built and ext_em_graded(), em_graded))
 
     # t10: idempotent annihilators of homogeneous elements -> EM-graded
-    def t10():
-        hyp = check_t10_condition(grading)[0]
-        concl = state.em_graded().holds if hyp else None
-        return hyp, concl
-
-    (hyp, concl), ms = _timed(t10)
-    rows.append(_row("t10", entry, hyp, concl, millis=ms))
+    rows.append(_implication("t10", entry, lambda: check_t10_condition(grading)[0], em_graded))
 
     # t11 / c7: idealization entries R(+)R with the canonical Z2-grading
     if (ring.provenance or {}).get("kind") == "idealization":
         base: FiniteRing = ring.aux["base"]
 
-        def t11():
-            faithful = annihilator(base, range(base.order)).elements == (base.zero,)
-            hyp = faithful and state.em_graded().holds
-            concl = is_em_ring(base).holds if hyp else None
-            return hyp, concl
+        def faithful() -> bool:
+            return annihilator(base, range(base.order)).elements == (base.zero,)
 
-        (hyp, concl), ms = _timed(t11)
-        rows.append(_row("t11", entry, hyp, concl, millis=ms))
+        def base_em() -> bool:
+            return is_em_ring(base).holds
 
-        def c7():
-            return is_em_ring(base).holds, state.em_graded().holds
-
-        (left, right), ms = _timed(c7)
-        rows.append(_biconditional_row("c7", entry, left, right, {}, ms))
+        rows.append(_implication("t11", entry, lambda: faithful() and em_graded(), base_em))
+        rows.append(_biconditional("c7", entry, base_em, em_graded))
 
     # l1: under the component hypotheses, regular tuples of R_e stay regular in R
-    def l1():
-        hyp = state.t2()[0]
-        concl = check_regular_embedding(grading).holds if hyp else None
-        return hyp, concl
+    rows.append(_implication(
+        "l1", entry, lambda: state.t2()[0], lambda: check_regular_embedding(grading).holds
+    ))
 
-    (hyp, concl), ms = _timed(l1)
-    rows.append(_row("l1", entry, hyp, concl, millis=ms))
+    # l2: the content ideal of a homogeneous polynomial is a graded ideal.  A
+    # nonzero element outside Z(R) is a unit, so a coefficient set holding one
+    # generates R, which is graded: the ideals over each component's nonzero
+    # zero divisors decide
+    def graded_contents() -> bool:
+        pools = _component_pools(ring, grading)
+        return _lattice_hit(
+            ring, pools, lambda ideal: None if is_graded_ideal(grading, ideal) else ideal
+        ) is None
 
-    # l2: the content ideal of a homogeneous polynomial is a graded ideal; the
-    # content ideals of one component's polynomials are the ideals its
-    # nonzero elements generate.  A nonzero element outside Z(R) is a unit, so
-    # a subset holding one generates R, which is graded: the ideals over the
-    # component's nonzero zero divisors decide
-    def l2():
-        bad = _component_ideal_hit(
-            ring, grading, lambda ideal: ideal if not is_graded_ideal(grading, ideal) else None
-        )
-        return True, bad is None
-
-    (hyp, concl), ms = _timed(l2)
-    rows.append(_row("l2", entry, hyp, concl, millis=ms))
+    rows.append(_implication("l2", entry, lambda: True, graded_contents))
 
     # t5: hT(R) EM-graded -> coefficient-set annihilators are principal-like;
     # hT(R) is R itself, so the hypothesis is the entry's EM-graded verdict
-    report, ms = _timed(lambda: verify_t5(ring, grading, em_report=state.em_graded()))
-    rows.append(_row("t5", entry, True, report.holds, detail=dict(report.bounds), millis=ms))
+    rows.append(_implication(
+        "t5", entry, em_graded,
+        lambda: verify_t5(ring, grading, em_report=state.em_graded()).holds,
+        detail=_ring_bounds(ring),
+    ))
 
     # t7: EM-graded survives one polynomial extension (one check per ideal)
-    def t7():
-        hyp = state.em_graded().holds
-        if not hyp:
-            return hyp, None
-        return hyp, verify_t7_bounded(ring, grading, em_report=state.em_graded()).holds
-
-    (hyp, concl), ms = _timed(t7)
-    rows.append(_row("t7", entry, hyp, concl, millis=ms))
-
+    rows.append(_implication(
+        "t7", entry, em_graded,
+        lambda: verify_t7_bounded(ring, grading, em_report=state.em_graded()).holds,
+    ))
     return rows
 
 

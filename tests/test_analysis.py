@@ -364,6 +364,20 @@ def test_verify_t7(e1, e1_grading):
         verify_t7_bounded(e1, e1_grading, em_report=PropertyReport("em-graded", "false"))
 
 
+def test_t7_false_witness_names_its_component(monkeypatch, e1, e1_grading):
+    """A failing bivariate check becomes a false t7 whose witness carries the
+    stage, the bug classification and the component, like em-graded's."""
+    import emrings.analysis as analysis
+
+    monkeypatch.setattr(analysis, "check_bivariate_content", lambda f: {"stage": "forced"})
+    rep = verify_t7_bounded(e1, e1_grading)
+    key = e1_grading.support_keys[0]
+    assert rep.verdict == "false"
+    assert rep.witness == {
+        "stage": "forced", "classified": "internal-bug-indicator", "component": list(key),
+    }
+
+
 def test_t7_matches_grid_oracle():
     """The per-ideal t7 verdict agrees with the old scan of every grid at x
     and y degree <= 1, on every preset of order <= 64."""

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from emrings.analysis import PropertyReport
-from emrings.cli import main, parse_poly_literal
+from emrings.cli import PROPERTIES, main, parse_poly_literal
+from emrings.construct import OrderCapError, build_spec
 from emrings.poly import poly_str
 from emrings.presets import preset_names
 
@@ -186,6 +187,24 @@ def test_oversized_construction_fails_fast(tmp_path, capsys, doc):
     assert code == 1 and "error: refusing to materialize" in err
 
 
+def test_order_one_base_hits_the_basis_cap(tmp_path, capsys):
+    """A basis of cap.bit_length() or more elements is refused whatever the
+    base order: over Z_1 the order stays 1 while the basis-product table
+    grows with the basis.  The small document goes first, so that without
+    the refusal the test fails on a 165 x 165 table before the 39711 x 39711
+    one of the second document is attempted."""
+    small = {"kind": "monomialQuotient", "m": 1, "v": 8, "relations": [], "d": 3}
+    with pytest.raises(OrderCapError):
+        build_spec(small, max_order=64)
+    doc = {"kind": "monomialQuotient", "m": 1, "v": 60, "relations": [], "d": 3}
+    with pytest.raises(OrderCapError):
+        build_spec(doc)
+    spec = tmp_path / "order1.json"
+    spec.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check", "--ring", str(spec), "--property", "em")
+    assert code == 1 and "error: refusing to materialize" in err
+
+
 @pytest.mark.parametrize("components, clause, detail", [
     ([{"degree": [0], "elements": [0, 1]}, {"degree": [1], "elements": [0, 2, 3]}],
      "not-a-subgroup", "1 + 1"),
@@ -215,17 +234,6 @@ def test_grading_valid_malformed_document_is_an_input_error(tmp_path, capsys):
     assert code == 1 and "error:" in err and "malformed-document" in err
 
 
-@pytest.mark.parametrize("prop", ["em", "em-graded"])
-def test_jobs_do_not_change_check_output(capsys, prop):
-    outs = []
-    for jobs in ("1", "4"):
-        code, out, _ = run(capsys, "check", "--ring", "e1", "--property", prop,
-                           "--format", "json", "--no-timing", "--jobs", jobs)
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-
-
 def test_poly_literal_parser(e1):
     assert parse_poly_literal(e1, "[2,4]").coeffs == (2, 4)
     assert parse_poly_literal(e1, "2+Y*x").coeffs == (2, 4)
@@ -246,6 +254,19 @@ def test_describe_matches_golden(capsys, name):
     assert code == 0
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
     assert json.loads(out) == expected
+
+
+def test_check_matches_golden(capsys):
+    """check --format json --no-timing --max-degree 2 for every property on
+    every preset of order <= 216, pinned byte for byte; a cell that exits
+    nonzero is pinned as its exit code."""
+    expected = json.loads((GOLDEN / "check.json").read_text())
+    for name, cells in expected.items():
+        assert sorted(cells) == sorted(PROPERTIES), name
+        for prop in PROPERTIES:
+            code, out, _ = run(capsys, "check", "--ring", f"preset:{name}", "--property", prop,
+                               "--format", "json", "--no-timing", "--max-degree", "2")
+            assert (json.loads(out) if code == 0 else code) == cells[prop], (name, prop)
 
 
 def test_suite_subcommand(capsys):

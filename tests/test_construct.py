@@ -59,6 +59,17 @@ def test_order_cap():
         poly_quotient_xn(cyclic(10), 4, max_order=4096)
 
 
+def test_order_one_base_hits_the_basis_cap():
+    """Over Z_1 every power of the base order is 1, so only the basis length
+    bounds the basis-product table: 2^13 > 4096 refuses 13 elements."""
+    one = cyclic(1)
+    assert poly_quotient_xn(one, 12).order == 1
+    with pytest.raises(OrderCapError):
+        poly_quotient_xn(one, 13)
+    with pytest.raises(OrderCapError):
+        group_ring(one, [13])
+
+
 def test_direct_product_idempotents():
     klein = direct_product([cyclic(2), cyclic(2)])
     validate_ring(klein)

@@ -6,7 +6,7 @@ import pytest
 
 from emrings.analysis import SearchCaps
 from emrings.construct import localization
-from emrings.grading import homogeneous_elements
+from emrings.grading import homogeneous_elements, trivial_grading
 from emrings.presets import preset_corpus
 from emrings.rings import idempotents, ideal_lattice, zero_divisors
 from emrings.theorems import CorpusEntry, _row, suite_failures, theorem_suite
@@ -94,12 +94,13 @@ def test_l2_lattice_over_zero_divisors_misses_only_r():
 
 @pytest.mark.parametrize(
     "name, orders",
-    [("z6", [6, 2, 3]), ("prod-e1sm", [4, 4, 16]), ("e2-trunc-d1", [216, 8, 27])],
+    [("z6", [2, 3]), ("prod-e1sm", [4, 4]), ("e2-trunc-d1", [8, 27])],
 )
-def test_t4_localizes_at_one_and_each_homogeneous_idempotent(monkeypatch, name, orders):
-    """t4 localizes at {1, e} for each nonzero homogeneous idempotent e in
-    ascending id order, and at nothing else; e = 1 gives R, the others the
-    proper corners eR (prod-e1sm's 1 has id 5)."""
+def test_t4_localizes_at_each_homogeneous_idempotent_but_one(monkeypatch, name, orders):
+    """t4 localizes at {1, e} for each nonzero homogeneous idempotent e != 1
+    in ascending id order, and at nothing else: the proper corners eR.  e = 1
+    would give R itself, whose verdict is the row's hypothesis (prod-e1sm's 1
+    has id 5)."""
     import emrings.theorems as theorems
 
     seen = []
@@ -114,9 +115,25 @@ def test_t4_localizes_at_one_and_each_homogeneous_idempotent(monkeypatch, name, 
     rows = _by_name(theorem_suite([entry]))
     assert rows[f"t4@{name}"].bounds == {"hypothesis": True, "conclusion": True}
     ring, hom = entry.ring, homogeneous_elements(entry.grading).element_set
-    expected = [e for e in idempotents(ring).elements if e != ring.zero and e in hom]
+    expected = [
+        e for e in idempotents(ring).elements if e not in (ring.zero, ring.one) and e in hom
+    ]
     assert [s for s, _ in seen] == [{ring.one, e} for e in expected]
     assert [order for _, order in seen] == orders
+
+
+def test_t5_hypothesis_is_the_em_graded_verdict():
+    """Under the trivial grading e1 and z4-xn-3 are not EM-graded, so the t5
+    row is vacuous, like t7's, instead of a skipped row with both sides."""
+    entries = [
+        CorpusEntry(f"{e.name}-trivial", e.ring, trivial_grading(e.ring))
+        for e in preset_corpus(["e1", "z4-xn-3"])
+    ]
+    rows = _by_name(theorem_suite(entries))
+    assert suite_failures(list(rows.values())) == []
+    for entry in entries:
+        for tag in ("t5", "t7"):
+            assert rows[f"{tag}@{entry.name}"].bounds == {"hypothesis": False}, (tag, entry.name)
 
 
 def test_benchmark_tracer_finds_every_traced_function():
