@@ -15,11 +15,17 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-# Full O(N^3) associativity/distributivity checking is kept below this order;
-# larger rings get an exhaustive O(N^2) check of the remaining axioms plus a
-# seeded sample of triples (see validate_ring).
+# Full O(N^3) associativity/distributivity checking is kept up to this order;
+# larger rings get a seeded sample of triples for those laws.  The O(N^2)
+# axioms are checked in full at every order (see validate_ring).
 EXHAUSTIVE_AXIOM_LIMIT = 600
 SAMPLED_TRIPLES = 40_000
+_SAMPLE_BLOCK = 10_000
+
+# Edge of the square tiles the commutativity check compares; a row block of
+# a row-wise reduction holds as many entries as one tile.  Both keep every
+# scratch array of a full-table pass near cache size, far below N^2.
+_TILE = 512
 
 
 class RingAxiomError(ValueError):
@@ -91,10 +97,8 @@ class FiniteRing:
     def neg_table(self) -> np.ndarray:
         neg = self._cache.get("neg")
         if neg is None:
-            pairs = np.argwhere(self.add_table == self.zero)
-            neg = np.empty(self.order, dtype=self.add_table.dtype)
-            neg[pairs[:, 0]] = pairs[:, 1]
-            self._cache["neg"] = neg
+            rows = _by_rows(self.add_table, lambda b: (b == self.zero).argmax(axis=1))
+            neg = self._cache["neg"] = rows.astype(self.add_table.dtype)
         return neg
 
     def elements(self) -> range:
@@ -210,14 +214,50 @@ def _first_bad(ok: np.ndarray) -> tuple[int, ...]:
     return tuple(int(x) for x in np.argwhere(~ok)[0])
 
 
+def _by_rows(table: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` of each block of rows of ``table``, concatenated.
+
+    A block holds about as many entries as one tile, so a row-wise
+    reduction of a comparison such as ``(table == x).any(axis=1)`` makes no
+    N^2-sized temporary.
+    """
+    step = max(1, _TILE * _TILE // len(table))
+    return np.concatenate([reduce(table[s : s + step]) for s in range(0, len(table), step)])
+
+
+def _is_symmetric(table: np.ndarray) -> bool:
+    """``table == table.T`` everywhere, compared one tile pair at a time."""
+    n = len(table)
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            if not np.array_equal(table[i : i + _TILE, j : j + _TILE],
+                                  table[j : j + _TILE, i : i + _TILE].T):
+                return False
+    return True
+
+
+def _sampled_triples(n: int) -> Iterator[np.ndarray]:
+    """The seeded sample of SAMPLED_TRIPLES triples, as (3, block) arrays of
+    the a, b and c ids.
+
+    Drawing block by block continues one generator stream, so the blocks
+    concatenate to the single draw ``integers(0, n, size=(SAMPLED_TRIPLES, 3))``.
+    """
+    rng = np.random.default_rng(n)
+    for start in range(0, SAMPLED_TRIPLES, _SAMPLE_BLOCK):
+        yield rng.integers(0, n, size=(min(_SAMPLE_BLOCK, SAMPLED_TRIPLES - start), 3)).T
+
+
 def validate_ring(ring: FiniteRing) -> FiniteRing:
     """Check every ring axiom on a FiniteRing.
 
     Associativity and distributivity are O(N^3); above
     ``EXHAUSTIVE_AXIOM_LIMIT`` they are checked on a deterministic sample of
     triples.  All O(N^2) axioms (commutativity, identities, inverses, zero
-    absorption) are always checked in full.  Raises :class:`RingAxiomError`
-    naming the first violated axiom with a witnessing pair or triple.
+    absorption) are always checked in full, streamed through cache-sized
+    tiles and row blocks, so no check allocates an N^2-sized temporary
+    unless it fails.  Raises :class:`RingAxiomError` naming the first
+    violated axiom with its row-major first witnessing pair or triple.
     """
     n = ring.order
     add, mul = ring.add_table, ring.mul_table
@@ -232,18 +272,16 @@ def validate_ring(ring: FiniteRing) -> FiniteRing:
         raise ValueError("labels length does not match order")
 
     idx = np.arange(n)
-    ok = add == add.T
-    if not ok.all():
-        raise RingAxiomError("add-commutativity", _first_bad(ok))
+    if not _is_symmetric(add):
+        raise RingAxiomError("add-commutativity", _first_bad(add == add.T))
     ok = add[zero] == idx
     if not ok.all():
         raise RingAxiomError("add-identity", _first_bad(ok))
-    ok = (add == zero).any(axis=1)
+    ok = _by_rows(add, lambda b: (b == zero).any(axis=1))
     if not ok.all():
         raise RingAxiomError("add-inverse", _first_bad(ok))
-    ok = mul == mul.T
-    if not ok.all():
-        raise RingAxiomError("mul-commutativity", _first_bad(ok))
+    if not _is_symmetric(mul):
+        raise RingAxiomError("mul-commutativity", _first_bad(mul == mul.T))
     ok = mul[one] == idx
     if not ok.all():
         raise RingAxiomError("mul-identity", _first_bad(ok))
@@ -265,22 +303,18 @@ def validate_ring(ring: FiniteRing) -> FiniteRing:
             if not ok.all():
                 b, c = _first_bad(ok)
                 raise RingAxiomError("distributivity", (a, b, c))
-    else:
-        rng = np.random.default_rng(n)
-        trips = rng.integers(0, n, size=(SAMPLED_TRIPLES, 3))
-        a, b, c = trips[:, 0], trips[:, 1], trips[:, 2]
-        ok = add[add[a, b], c] == add[a, add[b, c]]
-        if not ok.all():
-            i = int(np.nonzero(~ok)[0][0])
-            raise RingAxiomError("add-associativity", (int(a[i]), int(b[i]), int(c[i])))
-        ok = mul[mul[a, b], c] == mul[a, mul[b, c]]
-        if not ok.all():
-            i = int(np.nonzero(~ok)[0][0])
-            raise RingAxiomError("mul-associativity", (int(a[i]), int(b[i]), int(c[i])))
-        ok = mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
-        if not ok.all():
-            i = int(np.nonzero(~ok)[0][0])
-            raise RingAxiomError("distributivity", (int(a[i]), int(b[i]), int(c[i])))
+        return ring
+    laws = (
+        ("add-associativity", lambda a, b, c: add[add[a, b], c] == add[a, add[b, c]]),
+        ("mul-associativity", lambda a, b, c: mul[mul[a, b], c] == mul[a, mul[b, c]]),
+        ("distributivity", lambda a, b, c: mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]),
+    )
+    for axiom, law in laws:
+        for a, b, c in _sampled_triples(n):
+            ok = law(a, b, c)
+            if not ok.all():
+                i = int(np.nonzero(~ok)[0][0])
+                raise RingAxiomError(axiom, (int(a[i]), int(b[i]), int(c[i])))
     return ring
 
 
@@ -290,10 +324,13 @@ def validate_ring(ring: FiniteRing) -> FiniteRing:
 def _zero_divisor_mask(ring: FiniteRing) -> np.ndarray:
     mask = ring._cache.get("zd_mask")
     if mask is None:
-        hits = ring.mul_table == ring.zero
-        hits[:, ring.zero] = False
-        mask = hits.any(axis=1)
-        ring._cache["zd_mask"] = mask
+
+        def has_nonzero_annihilator(block):
+            hits = block == ring.zero
+            hits[:, ring.zero] = False
+            return hits.any(axis=1)
+
+        mask = ring._cache["zd_mask"] = _by_rows(ring.mul_table, has_nonzero_annihilator)
     return mask
 
 
@@ -309,12 +346,18 @@ def regular_elements(ring: FiniteRing) -> ElementSet:
 def units(ring: FiniteRing) -> ElementSet:
     mask = ring._cache.get("unit_mask")
     if mask is None:
-        mask = (ring.mul_table == ring.one).any(axis=1)
+        mask = _by_rows(ring.mul_table, lambda b: (b == ring.one).any(axis=1))
         ring._cache["unit_mask"] = mask
         # in a finite commutative ring the units are exactly the regular elements
         if (mask == _zero_divisor_mask(ring)).any():
             raise InternalInvariantError("units != regular elements")
     return ElementSet(ring, np.nonzero(mask)[0])
+
+
+def _annihilator_sizes(ring: FiniteRing) -> np.ndarray:
+    """|Ann(c)| for every element c: the zeros in row c of the
+    multiplication table, which by commutativity is its column c."""
+    return _by_rows(ring.mul_table, lambda b: (b == ring.zero).sum(axis=1))
 
 
 def idempotents(ring: FiniteRing) -> ElementSet:

@@ -397,3 +397,105 @@ def armendariz_scan_loop(ring, blocks, degree: int) -> Optional[dict]:
                                     "g_index": int(base + gi),
                                 }
     return None
+
+
+def _first_bad(ok: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(x) for x in np.argwhere(~ok)[0])
+
+
+def validate_ring_full(ring):
+    """The ring axioms checked on whole-table arrays: every O(N^2) axiom
+    through one N x N comparison, the O(N^3) laws exhaustively up to
+    EXHAUSTIVE_AXIOM_LIMIT and on one seeded draw of SAMPLED_TRIPLES
+    triples above it.  Raises RingAxiomError with the row-major first
+    witness, like validate_ring."""
+    from emrings.rings import EXHAUSTIVE_AXIOM_LIMIT, SAMPLED_TRIPLES, RingAxiomError
+
+    n = ring.order
+    add, mul = ring.add_table, ring.mul_table
+    zero, one = ring.zero, ring.one
+    if add.shape != (n, n) or mul.shape != (n, n):
+        raise ValueError(f"tables must be {n}x{n}")
+    if int(add.max(initial=0)) >= n or int(mul.max(initial=0)) >= n:
+        raise ValueError("table entry out of range")
+    if not (0 <= zero < n and 0 <= one < n):
+        raise ValueError("zero/one id out of range")
+    if ring.labels is not None and len(ring.labels) != n:
+        raise ValueError("labels length does not match order")
+
+    idx = np.arange(n)
+    ok = add == add.T
+    if not ok.all():
+        raise RingAxiomError("add-commutativity", _first_bad(ok))
+    ok = add[zero] == idx
+    if not ok.all():
+        raise RingAxiomError("add-identity", _first_bad(ok))
+    ok = (add == zero).any(axis=1)
+    if not ok.all():
+        raise RingAxiomError("add-inverse", _first_bad(ok))
+    ok = mul == mul.T
+    if not ok.all():
+        raise RingAxiomError("mul-commutativity", _first_bad(ok))
+    ok = mul[one] == idx
+    if not ok.all():
+        raise RingAxiomError("mul-identity", _first_bad(ok))
+    ok = mul[zero] == zero
+    if not ok.all():
+        raise RingAxiomError("zero-absorption", _first_bad(ok))
+
+    if n <= EXHAUSTIVE_AXIOM_LIMIT:
+        for a in range(n):
+            ok = add[add[a], :] == add[a][add]
+            if not ok.all():
+                b, c = _first_bad(ok)
+                raise RingAxiomError("add-associativity", (a, b, c))
+            ok = mul[mul[a], :] == mul[a][mul]
+            if not ok.all():
+                b, c = _first_bad(ok)
+                raise RingAxiomError("mul-associativity", (a, b, c))
+            ok = mul[a][add] == add[np.ix_(mul[a], mul[a])]
+            if not ok.all():
+                b, c = _first_bad(ok)
+                raise RingAxiomError("distributivity", (a, b, c))
+    else:
+        rng = np.random.default_rng(n)
+        trips = rng.integers(0, n, size=(SAMPLED_TRIPLES, 3))
+        a, b, c = trips[:, 0], trips[:, 1], trips[:, 2]
+        ok = add[add[a, b], c] == add[a, add[b, c]]
+        if not ok.all():
+            i = int(np.nonzero(~ok)[0][0])
+            raise RingAxiomError("add-associativity", (int(a[i]), int(b[i]), int(c[i])))
+        ok = mul[mul[a, b], c] == mul[a, mul[b, c]]
+        if not ok.all():
+            i = int(np.nonzero(~ok)[0][0])
+            raise RingAxiomError("mul-associativity", (int(a[i]), int(b[i]), int(c[i])))
+        ok = mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
+        if not ok.all():
+            i = int(np.nonzero(~ok)[0][0])
+            raise RingAxiomError("distributivity", (int(a[i]), int(b[i]), int(c[i])))
+    return ring
+
+
+def zero_divisor_mask_full(ring) -> np.ndarray:
+    """r is a zero divisor iff row r of the multiplication table has a zero
+    off column 0, read from one N x N comparison."""
+    hits = ring.mul_table == ring.zero
+    hits[:, ring.zero] = False
+    return hits.any(axis=1)
+
+
+def unit_mask_full(ring) -> np.ndarray:
+    return (ring.mul_table == ring.one).any(axis=1)
+
+
+def neg_table_full(ring) -> np.ndarray:
+    """-a for every a, from the positions of the zeros of the addition table."""
+    pairs = np.argwhere(ring.add_table == ring.zero)
+    neg = np.empty(ring.order, dtype=ring.add_table.dtype)
+    neg[pairs[:, 0]] = pairs[:, 1]
+    return neg
+
+
+def annihilator_sizes_full(ring) -> np.ndarray:
+    """|Ann(c)| for every c, as column sums of the zeros of the multiplication table."""
+    return (ring.mul_table == ring.zero).sum(axis=0)

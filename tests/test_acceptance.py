@@ -376,5 +376,5 @@ def test_criterion_9_determinism_across_jobs():
             mismatches.append(key)
     ok = not mismatches
     _log(f"criterion 9 {'PASS' if ok else 'FAIL'}: byte-identical reports at "
-         f"--jobs 1 and --jobs 8 (mismatches: {mismatches or 'none'})")
+         f"SearchCaps(jobs=1) and SearchCaps(jobs=8) (mismatches: {mismatches or 'none'})")
     assert ok

@@ -1,11 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emrings.construct import build_spec, cyclic, direct_product
+from emrings.construct import build_spec, cyclic, direct_product, poly_quotient_xn
 from emrings.rings import (
+    _TILE,
+    SAMPLED_TRIPLES,
     ElementSet,
     FiniteRing,
     RingAxiomError,
@@ -21,12 +24,24 @@ from emrings.rings import (
     units,
     validate_ring,
     zero_divisors,
+    _annihilator_sizes,
+    _sampled_triples,
+    _zero_divisor_mask,
 )
 
 from emrings.grading import homogeneous_elements
-from emrings.presets import build_preset
+from emrings.presets import PRESETS, build_preset
 
-from oracles import additive_span_closure, all_permutation_isomorphism, subset_stream
+from oracles import (
+    additive_span_closure,
+    all_permutation_isomorphism,
+    annihilator_sizes_full,
+    neg_table_full,
+    subset_stream,
+    unit_mask_full,
+    validate_ring_full,
+    zero_divisor_mask_full,
+)
 
 
 def test_validate_z4_ok(z4):
@@ -51,6 +66,116 @@ def test_validate_rejects_broken_identity(z4):
     with pytest.raises(RingAxiomError) as err:
         validate_ring(FiniteRing(z4.add_table, mul, 0, 1))
     assert err.value.axiom == "mul-identity"
+
+
+# suite-mid's ring in the benchmark (order 1024, two full tiles a side), and
+# Z6[x]/(x^4) (order 1296, whose last tile is partial)
+_TILED_RINGS = {
+    "z4-xy-trunc-d2": lambda: build_spec(
+        {"kind": "monomialQuotient", "m": 4, "v": 2, "relations": [[1, 1]], "d": 2}),
+    "z6-xn-4": lambda: poly_quotient_xn(cyclic(6), 4),
+}
+
+
+def _axiom_outcome(check, add, mul, ring):
+    """(axiom, witness) of the first violated axiom, or None when all hold."""
+    try:
+        check(FiniteRing(add, mul, ring.zero, ring.one))
+    except RingAxiomError as err:
+        return err.axiom, err.witness
+    return None
+
+
+def _table_mutations(ring):
+    """(name, add, mul) copies of the ring's tables with a few entries changed:
+    single entries and symmetric pairs in a diagonal tile, an off-diagonal
+    tile and the last tile, a row of the addition table left without zero,
+    symmetric blocks of growing size, and each table relabelled by swapping
+    two elements (which keeps every law but distributivity)."""
+    n = ring.order
+    last = n - 1
+
+    def swap(tname, table):  # (add, mul) with ``table`` in place of one of them
+        return (table, ring.mul_table) if tname == "add" else (ring.add_table, table)
+
+    spots = {
+        "diagonal tile": (3, 7),
+        "off-diagonal tile": (7, min(_TILE + 5, last)),
+        "last tile": (last - 2, last),
+        "last tile, off-diagonal": (5, last),
+    }
+    for tname in ("add", "mul"):
+        for where, (i, j) in spots.items():
+            for pair in (False, True):
+                t = getattr(ring, f"{tname}_table").copy()
+                t[i, j] = (int(t[i, j]) + 1) % n
+                if pair:
+                    t[j, i] = t[i, j]
+                yield f"{tname} {'pair' if pair else 'entry'} in {where}", *swap(tname, t)
+        for k in (4, 12):
+            t = getattr(ring, f"{tname}_table").copy()
+            rows = np.arange(n - 3 * k, n - 2 * k)
+            cols = np.arange(n - k, n)
+            t[np.ix_(rows, cols)] = (t[np.ix_(rows, cols)] + 1) % n
+            t[np.ix_(cols, rows)] = t[np.ix_(rows, cols)].T
+            yield f"{tname} symmetric {k}x{k} block", *swap(tname, t)
+    for r in (2, last):
+        add = ring.add_table.copy()
+        s = int(ring.neg_table[r])
+        add[r, s] = add[s, r] = ring.one
+        yield f"add row {r} without zero", add, ring.mul_table
+    perm = np.arange(n)
+    perm[[2, last]] = perm[[last, 2]]
+    yield "add relabelled", perm[ring.add_table[np.ix_(perm, perm)]], ring.mul_table
+    yield "mul relabelled", ring.add_table, perm[ring.mul_table[np.ix_(perm, perm)]]
+
+
+@pytest.mark.parametrize("name", ["e2-trunc-d1", *_TILED_RINGS])
+def test_validate_ring_matches_full_table_oracle(name):
+    """Tiled and row-blocked checks report the same first violated axiom and
+    the same witness as the whole-table checks on every mutated table."""
+    ring = build_preset(name)[0] if name in PRESETS else _TILED_RINGS[name]()
+    assert _axiom_outcome(validate_ring, ring.add_table, ring.mul_table, ring) is None
+    for what, add, mul in _table_mutations(ring):
+        got = _axiom_outcome(validate_ring, add, mul, ring)
+        assert got == _axiom_outcome(validate_ring_full, add, mul, ring), (name, what)
+
+
+@pytest.mark.parametrize("n", [601, 1296, 7776])
+def test_sampled_triples_are_one_seeded_draw(n):
+    """The blocks concatenate to the single draw of SAMPLED_TRIPLES triples
+    that fixes which triples (and so which witnesses) the sample checks."""
+    blocks = [abc.T for abc in _sampled_triples(n)]
+    draw = np.random.default_rng(n).integers(0, n, size=(SAMPLED_TRIPLES, 3))
+    assert np.array_equal(np.concatenate(blocks), draw)
+
+
+@pytest.mark.parametrize(
+    "name", [p for p in PRESETS if p != "e2-trunc-d2"] + list(_TILED_RINGS))
+def test_element_masks_match_full_table_oracle(name):
+    """Zero divisors, units, negatives and annihilator sizes, read in row
+    blocks, equal their whole-table forms."""
+    ring = build_preset(name)[0] if name in PRESETS else _TILED_RINGS[name]()
+    assert np.array_equal(_zero_divisor_mask(ring), zero_divisor_mask_full(ring))
+    assert units(ring).elements == tuple(np.nonzero(unit_mask_full(ring))[0])
+    assert ring.neg_table.dtype == ring.add_table.dtype
+    assert np.array_equal(ring.neg_table, neg_table_full(ring))
+    assert np.array_equal(_annihilator_sizes(ring), annihilator_sizes_full(ring))
+
+
+def test_full_table_checks_make_no_quadratic_temporary():
+    """validate_ring and zero_divisors on an order-2048 ring stay below
+    order^2 / 4 traced bytes; one boolean over the table is order^2 bytes."""
+    base = validate_ring(cyclic(2048))  # imports numpy.random outside the trace
+    for check in (validate_ring, zero_divisors):
+        ring = FiniteRing(base.add_table, base.mul_table, base.zero, base.one)
+        tracemalloc.start()
+        try:
+            check(ring)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < base.order**2 // 4, (check.__name__, peak)
 
 
 def test_order_one_zero_ring_is_valid():
