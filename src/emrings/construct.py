@@ -71,6 +71,16 @@ def _weights(radices: Sequence[int]) -> list[int]:
 # Scratch bound of one row block in _digit_tables, in bytes per array.
 _BLOCK_BYTES = 1 << 20
 
+# Shortest contiguous run, in elements, over which _digit_tables adds a term.
+_RUN = 256
+
+
+def _gather(table: np.ndarray, x, y) -> np.ndarray:
+    """``table[x, y]`` for broadcast index arrays, as one gather from the
+    raveled table.  The flat index ``x * r + y`` is formed in intp: in the
+    table's uint16 it would wrap once r^2 > 65535."""
+    return table.ravel().take(np.multiply(x, table.shape[1], dtype=np.intp) + y)
+
 
 def _digit_tables(
     radices: Sequence[int],
@@ -88,10 +98,19 @@ def _digit_tables(
     into a C-order digit view of the table.
 
     Rows go in blocks that fix the fewest leading (most significant) row
-    digits for which one block of the table, and so every digit array of
-    the block, holds at most ``_BLOCK_BYTES`` (1 MiB).  A handful of such
-    arrays are alive at once; nothing of size order^2 is allocated apart
-    from the two tables.
+    digits for which one block of the table holds at most ``_BLOCK_BYTES``
+    (1 MiB).  Every digit array of a block is at most block-sized, and each
+    flat gather index (intp) at most four times that; a handful are alive at
+    once, and nothing of size order^2 is allocated apart from the two tables.
+
+    Each scaled term is written into one block-sized scratch buffer, spread
+    over the fewest least significant column digits that hold ``_RUN``
+    (256) elements together, or over all column digits in a smaller ring.
+    The view is contiguous over those axes, so adding the spread term runs
+    inner loops of at least ``_RUN`` elements, where a term that skips the
+    lowest column digit would run inner loops of one radix.  The first term
+    of a block is assigned, not added, so no table page is read before it
+    is written.
     """
     m = len(radices)
     weights = _weights(radices)
@@ -106,6 +125,8 @@ def _digit_tables(
     shape = [radices[k] for k in reversed(range(free))] + [
         radices[k] for k in reversed(range(m))
     ]
+    low = next((k for k in range(m) if weights[k] >= _RUN), m)
+    lead, tail = len(shape) - low, tuple(shape[len(shape) - low :])
 
     def digit_axis(axis: int, radix: int) -> np.ndarray:
         dims = [1] * len(shape)
@@ -115,19 +136,39 @@ def _digit_tables(
     a_free = [digit_axis(free - 1 - k, radices[k]) for k in range(free)]
     b = [digit_axis(free + m - 1 - k, radices[k]) for k in range(m)]
     scale = [dt.type(w) for w in weights[:m]]
-    add = np.zeros((order, order), dtype=dt)
-    mul = np.zeros((order, order), dtype=dt)
+    add = np.empty((order, order), dtype=dt)
+    mul = np.empty((order, order), dtype=dt)
+    scratch = np.empty(rows * order, dtype=dt)
     for start in range(0, order, rows):
         a = a_free + [(start // weights[k]) % radices[k] for k in range(free, m)]
         for table, digits in ((add, add_digits), (mul, mul_digits)):
             view = table[start : start + rows].reshape(shape)
-            for w, d in zip(scale, digits(a, b)):
-                view += d * w
+            for k, (w, d) in enumerate(zip(scale, digits(a, b))):
+                run = np.shape(d)[:lead] + tail
+                term = scratch[: math.prod(run)].reshape(run)
+                np.multiply(d, w, out=term)
+                if k:
+                    view += term
+                else:
+                    view[...] = term
     return add, mul
 
 
-def _sum_label(terms: list[str]) -> str:
-    return " + ".join(terms) if terms else "0"
+def _digit_labels(terms: Sequence[Sequence], join: Callable[[tuple], str]) -> list[str]:
+    """Labels in id order of the mixed-radix elements whose digit k has the
+    display term ``terms[k][c]`` at value c; ``join`` gets one term per
+    digit, least significant first."""
+    return [join(combo[::-1]) for combo in itertools.product(*terms[::-1])]
+
+
+def _sum_label(terms: Sequence[Optional[str]]) -> str:
+    """Sum of the coefficient terms that are not None (zero coefficients)."""
+    present = [t for t in terms if t is not None]
+    return " + ".join(present) if present else "0"
+
+
+def _tuple_label(parts: Sequence[str]) -> str:
+    return "(" + ",".join(parts) + ")"
 
 
 def _coeff_label(coeff: str, basis: str) -> str:
@@ -148,9 +189,16 @@ def cyclic(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteRing:
     if n < 1:
         raise ValueError("cyclic ring needs n >= 1")
     _check_cap(n, max_order)
+    dt = _table_dtype(n)
+    add = np.empty((n, n), dtype=dt)
+    mul = np.empty((n, n), dtype=dt)
     idx = np.arange(n, dtype=np.int64)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
+    # int64 row blocks of at most _BLOCK_BYTES, reduced straight into the tables
+    rows = max(1, _BLOCK_BYTES // (n * idx.itemsize))
+    for start in range(0, n, rows):
+        i = idx[start : start + rows, None]
+        np.remainder(i + idx, n, out=add[start : start + rows], casting="unsafe")
+        np.remainder(i * idx, n, out=mul[start : start + rows], casting="unsafe")
     return FiniteRing(
         add,
         mul,
@@ -169,13 +217,15 @@ def _vector_ring(
     struct: np.ndarray,
     basis_labels: Sequence[str],
     provenance: dict,
+    labels: Optional[list[str]] = None,
 ) -> FiniteRing:
     """Ring on coefficient vectors over ``base`` with basis products ``struct``.
 
     ``struct[i, j]`` is the basis index of the product of basis monomials i
     and j, or -1 when that product is 0 in the quotient.  Multiplication is
     the induced bilinear map; addition is componentwise.  Callers refuse
-    ``base.order ** nb > max_order`` before they build ``struct``.
+    ``base.order ** nb > max_order`` before they build ``struct``.  Element
+    labels are ``labels`` when given, else sums of coefficient terms.
     """
     nb = len(basis_labels)
     radices = [base.order] * nb
@@ -186,31 +236,29 @@ def _vector_ring(
     ]
 
     def add_digits(a: list, b: list) -> list:
-        return [badd[a[k], b[k]] for k in range(nb)]
+        return [_gather(badd, a[k], b[k]) for k in range(nb)]
 
     def mul_digits(a: list, b: list) -> list:
         out = []
         for k in range(nb):
             acc = base.zero
             for i, j in pairs[k]:
-                acc = badd[acc, bmul[a[i], b[j]]]
+                acc = _gather(badd, acc, _gather(bmul, a[i], b[j]))
             out.append(acc)
         return out
 
     add, mul = _digit_tables(radices, add_digits, mul_digits)
     weights = _weights(radices)
-    labels = None
-    if base.labels is not None:
-        labels = [
-            _sum_label(
-                [
-                    _coeff_label(base.label(int(c)), basis_labels[i])
-                    for i, c in enumerate(vec)
-                    if c != base.zero
-                ]
-            )
-            for vec in _decode_all(radices)
+    if labels is None and base.labels is not None:
+        coeffs = [base.label(c) for c in range(base.order)]
+        terms = [
+            [
+                None if c == base.zero else _coeff_label(coeff, basis)
+                for c, coeff in enumerate(coeffs)
+            ]
+            for basis in basis_labels
         ]
+        labels = _digit_labels(terms, _sum_label)
     ring = FiniteRing(
         add,
         mul,
@@ -336,11 +384,10 @@ def idealization(base: FiniteRing, max_order: int = DEFAULT_MAX_ORDER) -> Finite
     _check_power_cap(base.order, 2, max_order)
     struct = np.array([[0, 1], [1, -1]], dtype=np.int64)
     prov = {"kind": "idealization", "base": base.provenance, "base_order": base.order}
-    ring = _vector_ring(base, struct, ["1", "ε"], prov)
+    labels = None
     if base.labels is not None:
-        coords = _decode_all([base.order, base.order])
-        ring.labels = [f"({base.label(int(r))},{base.label(int(mm))})" for r, mm in coords]
-    return ring
+        labels = _digit_labels([[base.label(c) for c in range(base.order)]] * 2, _tuple_label)
+    return _vector_ring(base, struct, ["1", "ε"], prov, labels=labels)
 
 
 def group_ring(
@@ -396,18 +443,17 @@ def direct_product(
     _check_cap(order, max_order)
     add, mul = _digit_tables(
         radices,
-        lambda a, b: [f.add_table[ai, bi] for f, ai, bi in zip(factors, a, b)],
-        lambda a, b: [f.mul_table[ai, bi] for f, ai, bi in zip(factors, a, b)],
+        lambda a, b: [_gather(f.add_table, ai, bi) for f, ai, bi in zip(factors, a, b)],
+        lambda a, b: [_gather(f.mul_table, ai, bi) for f, ai, bi in zip(factors, a, b)],
     )
     weights = _weights(radices)
     zero = sum(w * f.zero for w, f in zip(weights, factors))
     one = sum(w * f.one for w, f in zip(weights, factors))
     labels = None
     if all(f.labels is not None for f in factors):
-        labels = [
-            "(" + ",".join(f.label(int(c)) for f, c in zip(factors, vec)) + ")"
-            for vec in _decode_all(radices)
-        ]
+        labels = _digit_labels(
+            [[f.label(c) for c in range(f.order)] for f in factors], _tuple_label
+        )
     ring = FiniteRing(
         add,
         mul,

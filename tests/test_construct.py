@@ -414,6 +414,16 @@ _CONSTRUCTIONS = {
     "Z2xZ3xZ4": lambda: direct_product([cyclic(2), cyclic(3), cyclic(4)]),
     "(Z2(+)Z2)xZ3": lambda: direct_product([idealization(cyclic(2)), cyclic(3)]),
     "Z4xe1": lambda: direct_product([cyclic(4), _E1()]),
+    "Z2xZ3xZ5xZ7": lambda: direct_product([cyclic(p) for p in (2, 3, 5, 7)]),
+    # place values 1, 2, 6, 30, 210, 420: the inner run passes 256 elements
+    # within digit 4, so it spans digits 0-4 (420) and digit 5 stays outside
+    "Z2xZ3xZ5xZ7xZ2xZ2": lambda: direct_product(
+        [cyclic(p) for p in (2, 3, 5, 7, 2, 2)]
+    ),
+    "Z6[x]/(x^4)": lambda: poly_quotient_xn(cyclic(6), 4),
+    "Z1[x]/(x^3)": lambda: poly_quotient_xn(cyclic(1), 3),
+    "Z1xZ3xZ1": lambda: direct_product([cyclic(1), cyclic(3), cyclic(1)]),
+    "Z3[Z2^2]": lambda: group_ring(cyclic(3), [2, 2]),
     **{
         f"preset {name}": (lambda name=name: build_preset(name)[0])
         for name, p in PRESETS.items()
@@ -468,15 +478,23 @@ def test_vector_tables_match_rowwise_oracle_for_any_struct(data):
 
 
 def test_table_build_scratch_stays_small():
-    """The order-4096 square-zero extension allocates at most 8 MiB beyond
-    its two 32 MiB tables, so no order^2 intermediate is ever built."""
+    """The order-4096 square-zero extension, e2-trunc-d2 (order 7776) and
+    cyclic(4096) each allocate at most 8 MiB beyond their two tables (64,
+    242 and 64 MiB), so no order^2 intermediate is ever built."""
     base, _ = build_preset("z4-xn-3")
-    tracemalloc.start()
-    try:
-        ext = poly_quotient_xn(base, 2, var="X", max_order=4096)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    tables = ext.add_table.nbytes + ext.mul_table.nbytes
-    assert ext.order == 4096
-    assert peak - tables <= 8 << 20
+    builds = {
+        "square-zero extension": lambda: poly_quotient_xn(base, 2, var="X", max_order=4096),
+        "e2-trunc-d2": lambda: build_spec(PRESETS["e2-trunc-d2"].spec, max_order=8192),
+        "cyclic(4096)": lambda: cyclic(4096),
+    }
+    for name, build in builds.items():
+        tracemalloc.start()
+        try:
+            ring = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tables = ring.add_table.nbytes + ring.mul_table.nbytes
+        assert ring.order >= 4096, name
+        assert peak - tables <= 8 << 20, name
+        del ring
