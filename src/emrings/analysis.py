@@ -40,6 +40,7 @@ from .rings import (
     InternalInvariantError,
     _annihilator_sizes,
     _principal,
+    _zero_divisor_mask,
     annihilator_mask,
     ideal_lattice,
     zero_divisors,
@@ -167,9 +168,9 @@ def _component_pools(ring: FiniteRing, grading: Grading) -> list:
     """(key, nonzero zero divisors of R_key) for each support component, in
     key order: a homogeneous coefficient set lies in one component, and a
     unit coefficient makes a polynomial regular."""
-    zd = zero_divisors(ring).element_set
+    zd = _zero_divisor_mask(ring)
     return [
-        (key, set(grading.support[key].elements) & zd - {ring.zero})
+        (key, {e for e in grading.support[key].elements if zd[e]} - {ring.zero})
         for key in grading.support_keys
     ]
 

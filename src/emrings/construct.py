@@ -471,19 +471,28 @@ def direct_product(
     return ring
 
 
-def product_project(ring: FiniteRing, i: int, elem: int) -> int:
-    """Image of a product-ring element under projection to factor i."""
+def digit_ids(ring: FiniteRing, digit_sets: Sequence[Iterable[int]]) -> np.ndarray:
+    """Ascending ids of the elements of a mixed-radix ring (``aux['radices']``)
+    whose digit k lies in ``digit_sets[k]``: the sum of the digit sets, each
+    scaled by its place value."""
+    ids = np.zeros(1, dtype=np.int64)
+    for w, digits in reversed(list(zip(_weights(ring.aux["radices"]), digit_sets))):
+        ids = (ids[:, None] + w * np.array(sorted(set(digits)), dtype=np.int64)).ravel()
+    return ids
+
+
+def product_project(ring: FiniteRing, i: int, elem):
+    """Image of a product-ring element, or an array of them, under
+    projection to factor i."""
     radices = ring.aux["radices"]
-    return int((elem // int(np.prod(radices[:i]))) % radices[i])
+    return elem // _weights(radices)[i] % radices[i]
 
 
 def product_embed(ring: FiniteRing, i: int, elem: int) -> int:
     """Injection of a factor element into the product (zeros elsewhere)."""
-    factors = ring.aux["factors"]
-    radices = ring.aux["radices"]
-    vec = [f.zero for f in factors]
-    vec[i] = elem
-    return int(sum(v * int(np.prod(radices[:k])) for k, v in enumerate(vec)))
+    digits = [[f.zero] for f in ring.aux["factors"]]
+    digits[i] = [elem]
+    return int(digit_ids(ring, digits)[0])
 
 
 # -- localization -----------------------------------------------------------------
@@ -501,7 +510,7 @@ def localization(ring: FiniteRing, grading, s_elems: Iterable[int]):
     ``aux['class_pairs']`` lists the first-seen representative pair per
     class.
     """
-    from .grading import homogeneous_elements  # deferred: grading imports rings only
+    from .grading import homogeneous_elements  # deferred: grading imports construct
 
     s_ids = sorted(set(int(s) for s in s_elems))
     bad = [s for s in s_ids if not 0 <= s < ring.order]

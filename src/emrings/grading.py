@@ -13,6 +13,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .construct import digit_ids
 from .rings import (
     ElementSet,
     FiniteRing,
@@ -98,7 +99,7 @@ class Grading:
         self.labels = dict(labels) if labels else {}
         self._validated = False
         self._decomp: Optional[np.ndarray] = None
-        self._degree_pos: Optional[np.ndarray] = None
+        self._degrees: Optional[list] = None
 
     @property
     def support_keys(self) -> list[DegreeKey]:
@@ -118,10 +119,7 @@ class Grading:
     def degree_of(self, a: int) -> Optional[DegreeKey]:
         """Degree of a nonzero homogeneous element, else None (deg 0 undefined)."""
         self.require_validated()
-        if a == self.ring.zero:
-            return None
-        pos = int(self._degree_pos[a])
-        return self.support_keys[pos] if pos >= 0 else None
+        return self._degrees[a]
 
     def to_dict(self) -> dict:
         return {
@@ -168,9 +166,11 @@ def validate_grading(grading: Grading) -> Grading:
     keys = grading.support_keys
     comps = [np.fromiter(grading.support[k].elements, dtype=np.int64) for k in keys]
 
+    masks = []
     for k, c in zip(keys, comps):
         members = np.zeros(n, dtype=bool)
         members[c] = True
+        masks.append(members)
         if not members[ring.zero]:
             raise GradingError("not-a-subgroup", f"component {k} misses 0")
         sums = ring.add_table[np.ix_(c, c)]
@@ -211,11 +211,6 @@ def validate_grading(grading: Grading) -> Grading:
         raise InternalInvariantError("decomposition table does not re-sum to identity")
 
     key_pos = {k: i for i, k in enumerate(keys)}
-    masks = []
-    for c in comps:
-        m = np.zeros(n, dtype=bool)
-        m[c] = True
-        masks.append(m)
     for i, sigma in enumerate(keys):
         for j, tau in enumerate(keys):
             target = grading.group.op(sigma, tau)
@@ -237,12 +232,12 @@ def validate_grading(grading: Grading) -> Grading:
         if e not in key_pos or ring.one not in grading.support[e]:
             raise GradingError("identity-component", "1 is not in R_e")
 
-    degree_pos = np.full(n, -1, dtype=np.int64)
-    for pos, c in enumerate(comps):
-        nonzero = c[c != ring.zero]
-        degree_pos[nonzero] = pos
+    degrees: list[Optional[DegreeKey]] = [None] * n
+    for k, c in zip(keys, comps):
+        for a in c[c != ring.zero].tolist():
+            degrees[a] = k
     grading._decomp = decomp
-    grading._degree_pos = degree_pos
+    grading._degrees = degrees
     grading._validated = True
     return grading
 
@@ -407,58 +402,22 @@ def trivial_grading(ring: FiniteRing) -> Grading:
     return validate_grading(Grading(ring, group, {(0,): range(ring.order)}))
 
 
-def xn_grading(ring: FiniteRing) -> Grading:
-    """Grading H_k = R x^k of a poly_quotient_xn ring, over Z_n."""
-    prov = ring.provenance or {}
-    if prov.get("kind") != "polyQuotientXn":
-        raise ValueError("xn_grading needs a poly_quotient_xn ring")
-    b, n = prov["base_order"], prov["n"]
-    group = GradingGroup((n,))
-    comps = {(k,): [c * b**k for c in range(b)] for k in range(n)}
+def _digit_grading(ring: FiniteRing, group: GradingGroup, keys: Sequence, digits) -> Grading:
+    """Validated grading of a mixed-radix ring whose component at ``keys[i]``
+    holds the ids with digit k in ``digits[i][k]`` (README, "Digit-set
+    gradings")."""
+    comps = {key: digit_ids(ring, sets) for key, sets in zip(keys, digits)}
     return validate_grading(Grading(ring, group, comps))
 
 
-def groupring_grading(ring: FiniteRing) -> Grading:
-    """Grading H_sigma = R sigma of a group ring R[G], over G."""
-    prov = ring.provenance or {}
-    if prov.get("kind") != "groupRing":
-        raise ValueError("groupring_grading needs a group_ring ring")
-    b = prov["base_order"]
-    moduli = tuple(prov["group"])
-    gelems = ring.aux["group_elements"]
-    group = GradingGroup(moduli)
-    comps = {
-        tuple(g): [c * b**pos for c in range(b)] for pos, g in enumerate(gelems)
-    }
-    return validate_grading(Grading(ring, group, comps))
-
-
-def idealization_grading(ring: FiniteRing) -> Grading:
-    """Z_2-grading H_0 = R (+) 0, H_1 = 0 (+) R of an idealization."""
-    prov = ring.provenance or {}
-    if prov.get("kind") != "idealization":
-        raise ValueError("idealization_grading needs an idealization ring")
-    b = prov["base_order"]
-    group = GradingGroup((2,))
-    comps = {
-        (0,): list(range(b)),
-        (1,): [m * b for m in range(b)],
-    }
-    return validate_grading(Grading(ring, group, comps))
-
-
-def truncated_monomial_grading(ring: FiniteRing) -> Grading:
-    """Multidegree grading of a truncated monomial quotient, over Z^v."""
-    prov = ring.provenance or {}
-    if prov.get("kind") != "monomialQuotient":
-        raise ValueError("truncated_monomial_grading needs a monomial_quotient ring")
-    m = prov["m"]
-    basis = ring.aux["basis_monomials"]
-    group = GradingGroup((0,) * prov["v"])
-    comps = {
-        tuple(mono): [c * m**pos for c in range(m)] for pos, mono in enumerate(basis)
-    }
-    return validate_grading(Grading(ring, group, comps))
+# kind -> (moduli, degree of each basis element) of a coefficient-vector ring,
+# whose component of degree d_k is the base at digit k
+_VECTOR_DEGREES = {
+    "polyQuotientXn": lambda ring, p: ((p["n"],), [(k,) for k in range(p["n"])]),
+    "monomialQuotient": lambda ring, p: ((0,) * p["v"], ring.aux["basis_monomials"]),
+    "idealization": lambda ring, p: ((2,), [(0,), (1,)]),
+    "groupRing": lambda ring, p: (tuple(p["group"]), ring.aux["group_elements"]),
+}
 
 
 def product_grading(ring: FiniteRing, factor_gradings: Sequence[Grading]) -> Grading:
@@ -466,23 +425,14 @@ def product_grading(ring: FiniteRing, factor_gradings: Sequence[Grading]) -> Gra
     prov = ring.provenance or {}
     if prov.get("kind") != "product":
         raise ValueError("product_grading needs a direct_product ring")
-    factors = ring.aux["factors"]
-    radices = ring.aux["radices"]
-    if len(factor_gradings) != len(factors):
+    if len(factor_gradings) != len(ring.aux["factors"]):
         raise ValueError("one grading per factor required")
     moduli = factor_gradings[0].group.moduli
     if any(g.group.moduli != moduli for g in factor_gradings):
         raise ValueError("factor gradings must share one group")
-    weights = [int(np.prod(radices[:i])) for i in range(len(factors))]
     keys = sorted({k for g in factor_gradings for k in g.support_keys})
-    comps = {}
-    for key in keys:
-        enc = np.zeros(1, dtype=np.int64)
-        for i, g in enumerate(factor_gradings):
-            elems = np.fromiter(g.component(key).elements, dtype=np.int64)
-            enc = (enc[:, None] + elems[None, :] * weights[i]).ravel()
-        comps[key] = enc
-    return validate_grading(Grading(ring, GradingGroup(moduli), comps))
+    digits = [[g.component(key).elements for g in factor_gradings] for key in keys]
+    return _digit_grading(ring, GradingGroup(moduli), keys, digits)
 
 
 def localization_grading(ring: FiniteRing) -> Grading:
@@ -510,31 +460,22 @@ def square_zero_extension_grading(ring: FiniteRing, base_grading: Grading) -> Gr
     prov = ring.provenance or {}
     if prov.get("kind") != "polyQuotientXn" or prov.get("n") != 2:
         raise ValueError("square_zero_extension_grading needs R[x]/(x^2)")
-    b = prov["base_order"]
-    comps = {}
-    for key, es in base_grading.support.items():
-        elems = np.fromiter(es.elements, dtype=np.int64)
-        comps[key] = (elems[:, None] + elems[None, :] * b).ravel()
-    return validate_grading(Grading(ring, base_grading.group, comps))
+    digits = [[es.elements] * 2 for es in base_grading.support.values()]
+    return _digit_grading(ring, base_grading.group, base_grading.support_keys, digits)
 
 
 def canonical_grading(ring: FiniteRing) -> Grading:
     """The natural grading of a constructed ring, dispatched on provenance."""
-    kind = (ring.provenance or {}).get("kind")
-    if kind == "cyclic":
-        return trivial_grading(ring)
-    if kind == "polyQuotientXn":
-        return xn_grading(ring)
-    if kind == "monomialQuotient":
-        return truncated_monomial_grading(ring)
-    if kind == "idealization":
-        return idealization_grading(ring)
-    if kind == "groupRing":
-        return groupring_grading(ring)
+    prov = ring.provenance or {}
+    kind = prov.get("kind")
+    if kind in _VECTOR_DEGREES:
+        moduli, degrees = _VECTOR_DEGREES[kind](ring, prov)
+        base, nb = ring.aux["base"], len(degrees)
+        whole, zero = range(base.order), [base.zero]
+        digits = [[whole if j == k else zero for j in range(nb)] for k in range(nb)]
+        return _digit_grading(ring, GradingGroup(moduli), degrees, digits)
     if kind == "product":
-        return product_grading(
-            ring, [canonical_grading(f) for f in ring.aux["factors"]]
-        )
+        return product_grading(ring, [canonical_grading(f) for f in ring.aux["factors"]])
     if kind == "localization":
         return localization_grading(ring)
     return trivial_grading(ring)

@@ -14,6 +14,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .analysis import (
     PropertyReport,
     SearchCaps,
@@ -28,21 +30,22 @@ from .analysis import (
     verify_t5,
     verify_t7_bounded,
 )
-from .construct import localization, poly_quotient_xn
+from .construct import localization, poly_quotient_xn, product_project
 from .grading import (
     Grading,
-    canonical_grading,
+    GradingError,
     check_t2_hypotheses,
     check_t8_condition,
     check_t10_condition,
     homogeneous_elements,
-    homogeneous_zero_divisors,
     is_crossed_product,
     is_graded_ideal,
     localization_grading,
+    product_grading,
     square_zero_extension_grading,
+    validate_grading,
 )
-from .rings import FiniteRing, annihilator, idempotents, subring
+from .rings import FiniteRing, annihilator, annihilator_mask, idempotents, subring
 
 SUITE_TAGS = [
     "t1", "t2", "c2", "t3", "t4", "c3", "t6", "t8", "t9", "t10", "t11", "c7",
@@ -99,60 +102,54 @@ class _EntryState:
         return self._cache["ext"]
 
 
-def _row(
-    tag: str,
-    entry: CorpusEntry,
-    hypothesis: Optional[bool],
-    conclusion: Optional[bool],
-    *,
-    detail: Optional[dict] = None,
-    skipped: Optional[str] = None,
-    millis: float = 0.0,
+def _implication(
+    tag, entry, hypothesis, conclusion, detail=None, skip="extension order cap"
 ) -> PropertyReport:
-    """One implication row.  hypothesis None means "row skipped"."""
+    """Row of ``hypothesis -> conclusion``, both callables returning a bool,
+    timed together; the conclusion is decided only when the hypothesis
+    holds.  A None hypothesis skips the row with the marker ``skip``."""
     name = f"{tag}@{entry.name}"
-    bounds = dict(detail or {})
-    if skipped is not None:
-        bounds["skipped"] = skipped
-        return PropertyReport(name, "true", None, bounds, millis)
-    bounds["hypothesis"] = bool(hypothesis)
-    if not hypothesis:
-        return PropertyReport(name, "true", None, bounds, millis)
-    bounds["conclusion"] = bool(conclusion)
-    if conclusion:
+    t0 = time.perf_counter()
+    hyp = hypothesis()
+    if hyp is None:
+        return PropertyReport(name, "true", None, {"skipped": skip}, 0.0)
+    bounds = {**(detail or {}), "hypothesis": bool(hyp)}
+    if hyp:
+        bounds["conclusion"] = bool(conclusion())
+    millis = (time.perf_counter() - t0) * 1000
+    if bounds.get("conclusion", True):
         return PropertyReport(name, "true", None, bounds, millis)
     witness = {"hypothesis_held": True, "conclusion_failed": True, **(detail or {})}
     return PropertyReport(name, "false", witness, bounds, millis)
 
 
-def _biconditional_row(
-    tag: str, entry: CorpusEntry, left: bool, right: bool, detail: dict, millis: float
-) -> PropertyReport:
-    name = f"{tag}@{entry.name}"
-    if left == right:
-        return PropertyReport(name, "true", None, {**detail, "sides": [left, right]}, millis)
-    return PropertyReport(
-        name, "false", {"left": left, "right": right, **detail}, detail, millis
-    )
-
-
-def _implication(tag, entry, hypothesis, conclusion, detail=None) -> PropertyReport:
-    """Row of ``hypothesis -> conclusion``, both callables returning a bool,
-    timed together; the conclusion is decided only when the hypothesis
-    holds.  A None hypothesis means the extension cap skipped the row."""
-    t0 = time.perf_counter()
-    hyp = hypothesis()
-    if hyp is None:
-        return _row(tag, entry, None, None, skipped="extension order cap")
-    concl = conclusion() if hyp else None
-    return _row(tag, entry, hyp, concl, detail=detail, millis=(time.perf_counter() - t0) * 1000)
-
-
 def _biconditional(tag, entry, left, right) -> PropertyReport:
     """Row of ``left <-> right``, both callables returning a bool, timed together."""
     t0 = time.perf_counter()
-    sides = left(), right()
-    return _biconditional_row(tag, entry, *sides, {}, (time.perf_counter() - t0) * 1000)
+    sides = [left(), right()]
+    millis = (time.perf_counter() - t0) * 1000
+    name = f"{tag}@{entry.name}"
+    if sides[0] == sides[1]:
+        return PropertyReport(name, "true", None, {"sides": sides}, millis)
+    return PropertyReport(name, "false", {"left": sides[0], "right": sides[1]}, {}, millis)
+
+
+def _projected_gradings(ring: FiniteRing, grading: Grading) -> Optional[list[Grading]]:
+    """The gradings of the factors of a product ring by the projections of
+    ``grading``'s components, or None when ``grading`` is not their product
+    grading (README, "Digit-set gradings")."""
+    projected = []
+    for i, factor in enumerate(ring.aux["factors"]):
+        comps = {
+            k: product_project(ring, i, np.fromiter(es.elements, dtype=np.int64))
+            for k, es in grading.support.items()
+        }
+        try:
+            projected.append(validate_grading(Grading(factor, grading.group, comps)))
+        except GradingError:
+            return None
+    support = lambda g: {k: es.elements for k, es in g.support.items()}
+    return projected if support(product_grading(ring, projected)) == support(grading) else None
 
 
 def theorem_suite(
@@ -187,13 +184,16 @@ def _entry_rows(state: _EntryState, armendariz_degree: Optional[int]) -> list[Pr
 
     # t1: EM-graded iff every component is an EM-subset.  is_em_g_graded
     # decides EM-graded by that very scan, so the row checks that its pools
-    # cover hZ(R), which holds by construction
-    def support_identity() -> bool:
+    # cover hZ(R), recomputed as the nonzero homogeneous x (degree_of) with a
+    # nonzero annihilator (annihilator_mask)
+    def pools_cover_hz() -> bool:
         union = {ring.zero}.union(*(pool for _, pool in _component_pools(ring, grading)))
-        return union == set(homogeneous_zero_divisors(grading).elements) | {ring.zero}
+        hom = [x for x in range(ring.order) if grading.degree_of(x) is not None]
+        hz = {x for x in hom if np.count_nonzero(annihilator_mask(ring, [x])) > 1}
+        return union == hz | {ring.zero}
 
     rows = [
-        _biconditional("t1", entry, support_identity, lambda: True),
+        _biconditional("t1", entry, pools_cover_hz, lambda: True),
         # t2: component-cyclicity hypotheses + R_e an EM-ring -> EM-graded
         _implication("t2", entry, lambda: state.t2()[0] and re_em(), em_graded),
         # c2: crossed product + R_e an EM-ring -> EM-graded
@@ -228,12 +228,17 @@ def _entry_rows(state: _EntryState, armendariz_degree: Optional[int]) -> list[Pr
         em_graded, detail={"generator_cap": BEZOUT_GENERATORS},
     ))
 
-    # t6: a product is EM-graded iff every factor is (product entries only)
+    # t6: a product is EM-graded iff every factor is, each graded by the
+    # projections of the components (product entries only)
     if (ring.provenance or {}).get("kind") == "product":
-        rows.append(_biconditional("t6", entry, em_graded, lambda: all(
-            is_em_g_graded(factor, canonical_grading(factor)).holds
-            for factor in ring.aux["factors"]
-        )))
+        projected = _projected_gradings(ring, grading)
+        if projected is None:
+            marker = "grading is not a product of its projections"
+            rows.append(_implication("t6", entry, lambda: None, None, skip=marker))
+        else:
+            rows.append(_biconditional("t6", entry, em_graded, lambda: all(
+                is_em_g_graded(f, g).holds for f, g in zip(ring.aux["factors"], projected)
+            )))
 
     # t8: no nonzero homogeneous zero divisors -> R[X]/(X^2) is EM-graded;
     # t9: R[X]/(X^2) EM-graded -> R EM-graded.  built is None when the

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from emrings.construct import cyclic, poly_quotient_xn
-from emrings.grading import xn_grading
+from emrings.grading import canonical_grading
 from emrings.rings import validate_ring
 
 ACCEPTANCE_LINES: list[str] = []
@@ -37,4 +37,4 @@ def e1(z4):
 
 @pytest.fixture(scope="session")
 def e1_grading(e1):
-    return xn_grading(e1)
+    return canonical_grading(e1)

@@ -7,9 +7,17 @@ search paths they exist to validate.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
+
+from emrings.grading import (
+    Grading,
+    GradingGroup,
+    localization_grading,
+    trivial_grading,
+    validate_grading,
+)
 
 
 def subset_stream(pool: Iterable[int]):
@@ -499,3 +507,140 @@ def neg_table_full(ring) -> np.ndarray:
 def annihilator_sizes_full(ring) -> np.ndarray:
     """|Ann(c)| for every c, as column sums of the zeros of the multiplication table."""
     return (ring.mul_table == ring.zero).sum(axis=0)
+
+
+# -- the former per-constructor grading builders, each with its own id
+# arithmetic; the library now builds all of them through construct.digit_ids
+
+
+def xn_grading(ring: FiniteRing) -> Grading:
+    """Grading H_k = R x^k of a poly_quotient_xn ring, over Z_n."""
+    prov = ring.provenance or {}
+    if prov.get("kind") != "polyQuotientXn":
+        raise ValueError("xn_grading needs a poly_quotient_xn ring")
+    b, n = prov["base_order"], prov["n"]
+    group = GradingGroup((n,))
+    comps = {(k,): [c * b**k for c in range(b)] for k in range(n)}
+    return validate_grading(Grading(ring, group, comps))
+
+
+def groupring_grading(ring: FiniteRing) -> Grading:
+    """Grading H_sigma = R sigma of a group ring R[G], over G."""
+    prov = ring.provenance or {}
+    if prov.get("kind") != "groupRing":
+        raise ValueError("groupring_grading needs a group_ring ring")
+    b = prov["base_order"]
+    moduli = tuple(prov["group"])
+    gelems = ring.aux["group_elements"]
+    group = GradingGroup(moduli)
+    comps = {
+        tuple(g): [c * b**pos for c in range(b)] for pos, g in enumerate(gelems)
+    }
+    return validate_grading(Grading(ring, group, comps))
+
+
+def idealization_grading(ring: FiniteRing) -> Grading:
+    """Z_2-grading H_0 = R (+) 0, H_1 = 0 (+) R of an idealization."""
+    prov = ring.provenance or {}
+    if prov.get("kind") != "idealization":
+        raise ValueError("idealization_grading needs an idealization ring")
+    b = prov["base_order"]
+    group = GradingGroup((2,))
+    comps = {
+        (0,): list(range(b)),
+        (1,): [m * b for m in range(b)],
+    }
+    return validate_grading(Grading(ring, group, comps))
+
+
+def truncated_monomial_grading(ring: FiniteRing) -> Grading:
+    """Multidegree grading of a truncated monomial quotient, over Z^v."""
+    prov = ring.provenance or {}
+    if prov.get("kind") != "monomialQuotient":
+        raise ValueError("truncated_monomial_grading needs a monomial_quotient ring")
+    m = prov["m"]
+    basis = ring.aux["basis_monomials"]
+    group = GradingGroup((0,) * prov["v"])
+    comps = {
+        tuple(mono): [c * m**pos for c in range(m)] for pos, mono in enumerate(basis)
+    }
+    return validate_grading(Grading(ring, group, comps))
+
+
+def product_grading(ring: FiniteRing, factor_gradings: Sequence[Grading]) -> Grading:
+    """Componentwise grading of a direct product of same-group graded rings."""
+    prov = ring.provenance or {}
+    if prov.get("kind") != "product":
+        raise ValueError("product_grading needs a direct_product ring")
+    factors = ring.aux["factors"]
+    radices = ring.aux["radices"]
+    if len(factor_gradings) != len(factors):
+        raise ValueError("one grading per factor required")
+    moduli = factor_gradings[0].group.moduli
+    if any(g.group.moduli != moduli for g in factor_gradings):
+        raise ValueError("factor gradings must share one group")
+    weights = [int(np.prod(radices[:i])) for i in range(len(factors))]
+    keys = sorted({k for g in factor_gradings for k in g.support_keys})
+    comps = {}
+    for key in keys:
+        enc = np.zeros(1, dtype=np.int64)
+        for i, g in enumerate(factor_gradings):
+            elems = np.fromiter(g.component(key).elements, dtype=np.int64)
+            enc = (enc[:, None] + elems[None, :] * weights[i]).ravel()
+        comps[key] = enc
+    return validate_grading(Grading(ring, GradingGroup(moduli), comps))
+
+
+def localization_grading(ring: FiniteRing) -> Grading:
+    """Grading of S^-1 R with deg(a/s) = deg(a) - deg(s).
+
+    Its component of degree sigma is the image of the base component R_sigma
+    under the canonical map a -> class of a/1 (README, "Localization
+    grading"); validation rejects the result if the images do not sum
+    directly, which can only come from an implementation bug.
+    """
+    prov = ring.provenance or {}
+    if prov.get("kind") != "localization":
+        raise ValueError("localization_grading needs a localization ring")
+    bgrading: Grading = ring.aux["grading"]
+    canonical = ring.aux["canonical_map"]
+    comps = {
+        k: canonical[np.fromiter(es.elements, dtype=np.int64)]
+        for k, es in bgrading.support.items()
+    }
+    return validate_grading(Grading(ring, bgrading.group, comps))
+
+
+def square_zero_extension_grading(ring: FiniteRing, base_grading: Grading) -> Grading:
+    """Lift a base grading to R[x]/(x^2): component at sigma is R_sigma + R_sigma X."""
+    prov = ring.provenance or {}
+    if prov.get("kind") != "polyQuotientXn" or prov.get("n") != 2:
+        raise ValueError("square_zero_extension_grading needs R[x]/(x^2)")
+    b = prov["base_order"]
+    comps = {}
+    for key, es in base_grading.support.items():
+        elems = np.fromiter(es.elements, dtype=np.int64)
+        comps[key] = (elems[:, None] + elems[None, :] * b).ravel()
+    return validate_grading(Grading(ring, base_grading.group, comps))
+
+
+def former_canonical_grading(ring: FiniteRing) -> Grading:
+    """The natural grading of a constructed ring, dispatched on provenance."""
+    kind = (ring.provenance or {}).get("kind")
+    if kind == "cyclic":
+        return trivial_grading(ring)
+    if kind == "polyQuotientXn":
+        return xn_grading(ring)
+    if kind == "monomialQuotient":
+        return truncated_monomial_grading(ring)
+    if kind == "idealization":
+        return idealization_grading(ring)
+    if kind == "groupRing":
+        return groupring_grading(ring)
+    if kind == "product":
+        return product_grading(
+            ring, [former_canonical_grading(f) for f in ring.aux["factors"]]
+        )
+    if kind == "localization":
+        return localization_grading(ring)
+    return trivial_grading(ring)

@@ -21,12 +21,7 @@ from emrings.analysis import (
     is_em_ring,
 )
 from emrings.construct import build_spec, cyclic, direct_product, idealization
-from emrings.grading import (
-    check_t2_hypotheses,
-    grading_for_spec,
-    idealization_grading,
-    xn_grading,
-)
+from emrings.grading import canonical_grading, check_t2_hypotheses, grading_for_spec
 from emrings.poly import is_zero_divisor_poly, polynomial
 from emrings.presets import PRESETS
 from emrings.rings import annihilator, validate_ring, zero_divisors
@@ -73,7 +68,7 @@ def _criterion_2(caps):
     bases = [cyclic(2), cyclic(3), cyclic(4), cyclic(6), direct_product([cyclic(2), cyclic(2)])]
     for base in bases:
         ring = idealization(base)
-        grading = idealization_grading(ring)
+        grading = canonical_grading(ring)
         em = is_em_ring(base)
         graded = is_em_g_graded(ring, grading)
         docs.append(
@@ -93,7 +88,7 @@ def _criterion_3(entries, caps):
     out = {"em_z4": is_em_ring(validate_ring(z4)).to_dict(timing=False)}
     for n in (2, 3):
         ring = poly_quotient_xn(z4, n)
-        grading = xn_grading(ring)
+        grading = canonical_grading(ring)
         out[f"n{n}"] = is_em_g_graded(ring, grading).to_dict(timing=False)
     return out
 

@@ -34,13 +34,12 @@ from emrings.construct import (
 )
 from emrings.grading import (
     Grading,
+    canonical_grading,
     check_t2_hypotheses,
-    idealization_grading,
     is_graded_ideal,
     localization_grading,
     trivial_grading,
     validate_grading,
-    xn_grading,
 )
 from emrings.poly import bivariate, content_ideal, kronecker_flatten, poly_mul, polynomial
 from emrings.presets import PRESETS, build_preset, preset_names
@@ -125,7 +124,7 @@ def test_is_em_ring_examples(z4, z6, e1):
 def test_is_em_g_graded_examples(e1, e1_grading, z4):
     assert is_em_g_graded(e1, e1_grading).verdict == "true"
     ideal_ring = idealization(z4)
-    g = idealization_grading(ideal_ring)
+    g = canonical_grading(ideal_ring)
     assert is_em_g_graded(ideal_ring, g).verdict == "true"
 
 
@@ -345,7 +344,7 @@ def test_bezout_examples(z6, e1, e1_grading):
 def test_regular_embedding(z4, e1_grading):
     assert check_regular_embedding(e1_grading).holds
     ring = poly_quotient_xn(cyclic(2), 3)
-    assert check_regular_embedding(xn_grading(ring)).holds
+    assert check_regular_embedding(canonical_grading(ring)).holds
     z6 = cyclic(6)
     assert check_regular_embedding(trivial_grading(z6)).holds
 
@@ -453,7 +452,7 @@ def _oracle_cases():
              "Z2xZ2": direct_product([cyclic(2), cyclic(2)])}
     for label, base in bases.items():
         ring = validate_ring(idealization(base))
-        cases.append((f"{label}(+){label}", ring, idealization_grading(ring)))
+        cases.append((f"{label}(+){label}", ring, canonical_grading(ring)))
     return cases
 
 

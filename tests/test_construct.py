@@ -10,6 +10,7 @@ from emrings.construct import (
     OrderCapError,
     build_spec,
     cyclic,
+    digit_ids,
     direct_product,
     group_ring,
     idealization,
@@ -89,8 +90,22 @@ def test_direct_product_projections():
     e = product_embed(prod, 1, 2)
     assert product_project(prod, 1, e) == 2
     assert product_project(prod, 0, e) == 0
+    ids = np.arange(prod.order)
+    for i in (0, 1):
+        expected = [product_project(prod, i, a) for a in range(prod.order)]
+        assert product_project(prod, i, ids).tolist() == expected
     assert find_isomorphism(prod, cyclic(6)) is not None
     assert all_permutation_isomorphism(prod, cyclic(6)) is not None
+
+
+def test_digit_ids_are_the_ascending_cartesian_sum():
+    """Ids of Z2 x Z3 x Z4 (place values 1, 2, 6) whose digits lie in the
+    given sets, in ascending order; duplicates and order in a set are ignored."""
+    prod = direct_product([cyclic(2), cyclic(3), cyclic(4)])
+    got = digit_ids(prod, [[1], [2, 0, 2], [3, 1]])
+    assert got.tolist() == sorted(a + 2 * b + 6 * c for a in [1] for b in [0, 2] for c in [1, 3])
+    assert digit_ids(prod, [range(2), range(3), range(4)]).tolist() == list(range(24))
+    assert digit_ids(prod, [[0], [], [1]]).size == 0
 
 
 def test_poly_quotient_e1(z4, e1):

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emrings.construct import (
+    build_spec,
     cyclic,
     direct_product,
     group_ring,
     idealization,
     localization,
+    monomial_basis,
     monomial_quotient,
     poly_quotient_xn,
 )
@@ -21,23 +26,23 @@ from emrings.grading import (
     check_t10_condition,
     decompose,
     grading_from_dict,
-    groupring_grading,
     homogeneous_elements,
     homogeneous_zero_divisors,
-    idealization_grading,
     is_crossed_product,
     is_graded_ideal,
     localization_grading,
     product_grading,
+    square_zero_extension_grading,
     transport_grading,
     trivial_grading,
-    truncated_monomial_grading,
     validate_automorphism,
     validate_grading,
-    xn_grading,
 )
-from emrings.presets import build_preset
+from emrings.presets import PRESETS, build_preset
 from emrings.rings import ideal_generated, subring, validate_ring
+from emrings.theorems import EXTENSION_CAP
+
+import oracles
 
 
 def test_e1_grading_valid(e1, e1_grading):
@@ -78,7 +83,7 @@ def test_decompose_examples(e1, e1_grading):
     assert decompose(e1_grading, 2 + 3 * 4) == {(0,): 2, (1,): 12}
     assert decompose(e1_grading, 0) == {}
     gr_ring = group_ring(cyclic(4), [2])
-    g = groupring_grading(gr_ring)
+    g = canonical_grading(gr_ring)
     assert decompose(g, 1 + 3 * 4) == {(0,): 1, (1,): 12}
 
 
@@ -93,7 +98,7 @@ def test_crossed_product(e1_grading):
     ok, wit = is_crossed_product(e1_grading)
     assert not ok and wit[(1,)] is None
     gr = group_ring(cyclic(4), [2])
-    ok, wit = is_crossed_product(groupring_grading(gr))
+    ok, wit = is_crossed_product(canonical_grading(gr))
     assert ok and wit[(0,)] == 1 and wit[(1,)] == 4
     z6 = cyclic(6)
     ok, _ = is_crossed_product(trivial_grading(z6))
@@ -178,24 +183,24 @@ def test_xn_grading_equals_e1_grading(e1_grading):
 
 def test_idealization_grading(z4):
     ring = idealization(z4)
-    g = idealization_grading(ring)
+    g = canonical_grading(ring)
     assert g.support[(0,)].elements == (0, 1, 2, 3)
     assert g.support[(1,)].elements == (0, 4, 8, 12)
 
 
 def test_truncated_monomial_grading_support():
     ring = monomial_quotient(6, 2, [[1, 1]], 1)
-    g = truncated_monomial_grading(ring)
+    g = canonical_grading(ring)
     assert g.support_keys == [(0, 0), (0, 1), (1, 0)]
     ring2, _ = build_preset("e2-trunc-d2")  # monomial_quotient(6, 2, [[1, 1]], 2)
-    g2 = truncated_monomial_grading(ring2)
+    g2 = canonical_grading(ring2)
     assert g2.support_keys == [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)]
 
 
 def test_product_grading_componentwise():
     factor = idealization(cyclic(2))
     prod = direct_product([factor, factor])
-    fg = idealization_grading(factor)
+    fg = canonical_grading(factor)
     g = product_grading(prod, [fg, fg])
     assert g.support_keys == [(0,), (1,)]
     assert len(g.support[(0,)]) == 4 and len(g.support[(1,)]) == 4
@@ -212,7 +217,7 @@ def test_check_t2_hypotheses(e1, e1_grading):
     ok, wit = check_t2_hypotheses(e1_grading)
     assert ok and wit[(0,)] == 1 and wit[(1,)] == 4
     ring = monomial_quotient(6, 2, [[1, 1]], 1)
-    ok, wit = check_t2_hypotheses(truncated_monomial_grading(ring))
+    ok, wit = check_t2_hypotheses(canonical_grading(ring))
     assert ok
     assert wit[(1, 0)] == 6 and wit[(0, 1)] == 36
 
@@ -293,3 +298,116 @@ def test_zero_ring_grading():
     g = trivial_grading(ring)
     assert g.support_keys == []
     assert homogeneous_elements(g).elements == (0,)
+
+
+def _components(build):
+    """Moduli and components of the grading ``build()`` returns, or the
+    message of the ValueError it raises (factors graded over different groups)."""
+    try:
+        grading = build()
+    except ValueError as err:
+        return str(err)
+    return grading.group.moduli, {k: es.elements for k, es in grading.support.items()}
+
+
+def _assert_matches_former_builders(ring):
+    """canonical_grading, product_grading (of the factors' trivial gradings)
+    and square_zero_extension_grading equal the former builders' gradings,
+    the last on R[X]/(X^2) when its order is at most EXTENSION_CAP, lifting
+    the canonical grading or, where that raises, the trivial one."""
+    assert _components(lambda: canonical_grading(ring)) == _components(
+        lambda: oracles.former_canonical_grading(ring)
+    )
+    if ring.provenance["kind"] == "product":
+        trivial = [trivial_grading(f) for f in ring.aux["factors"]]
+        assert _components(lambda: product_grading(ring, trivial)) == _components(
+            lambda: oracles.product_grading(ring, trivial)
+        )
+    if ring.order**2 <= EXTENSION_CAP:
+        try:
+            graded = canonical_grading(ring)
+        except ValueError:
+            graded = trivial_grading(ring)
+        ext = poly_quotient_xn(ring, 2, var="X", max_order=EXTENSION_CAP)
+        assert _components(lambda: square_zero_extension_grading(ext, graded)) == _components(
+            lambda: oracles.square_zero_extension_grading(ext, graded)
+        )
+        assert _components(lambda: canonical_grading(ext)) == _components(
+            lambda: oracles.xn_grading(ext)
+        )
+
+
+_Y2 = lambda n: poly_quotient_xn(cyclic(n), 2, var="Y")
+
+_GRADED_RINGS = {
+    **{f"preset {name}": (lambda name=name: build_preset(name)[0]) for name in PRESETS},
+    "Z6[x]/(x^4)": lambda: poly_quotient_xn(cyclic(6), 4),
+    "(Z2(+)Z2)[x]/(x^3)": lambda: poly_quotient_xn(idealization(cyclic(2)), 3),
+    "Z3[Z2^2]": lambda: group_ring(cyclic(3), [2, 2]),
+    "Z2[Z3]": lambda: group_ring(cyclic(2), [3]),
+    "Z2[x,y,z]/(xy),d2": lambda: monomial_quotient(2, 3, [[1, 1, 0]], 2),
+    "(Z2(+)Z2)(+)(Z2(+)Z2)": lambda: idealization(idealization(cyclic(2))),
+    "Z4xZ6": lambda: direct_product([cyclic(4), cyclic(6)]),
+    "Z2[Y]/(Y^2)xZ2[Z2]": lambda: direct_product([_Y2(2), group_ring(cyclic(2), [2])]),
+    "(Z3(+)Z3)xZ2[Y]/(Y^2)xZ2": lambda: direct_product(
+        [idealization(cyclic(3)), _Y2(2), cyclic(2)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_GRADED_RINGS))
+def test_digit_gradings_match_former_builders(name):
+    _assert_matches_former_builders(_GRADED_RINGS[name]())
+
+
+def _root(cap: int, k: int) -> int:
+    """Largest b with b**k <= cap."""
+    b = 1
+    while (b + 1) ** k <= cap:
+        b += 1
+    return b
+
+
+def _construction(draw, cap: int) -> tuple[dict, int]:
+    """A construction document of order at most ``cap``, and that order."""
+    kinds = ["cyclic"]
+    if cap >= 4:
+        kinds += ["product", "polyQuotientXn", "idealization", "groupRing", "monomialQuotient"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "cyclic":
+        n = draw(st.integers(1, min(cap, 8)))
+        return {"kind": "cyclic", "n": n}, n
+    if kind == "product":
+        first, a = _construction(draw, cap // 2)
+        second, b = _construction(draw, cap // a)
+        return {"kind": "product", "factors": [first, second]}, a * b
+    if kind == "monomialQuotient":
+        m, v, d = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        exponents = st.lists(st.integers(0, 2), min_size=v, max_size=v).filter(any)
+        relations = draw(st.lists(exponents, max_size=2))
+        order = m ** len(list(monomial_basis(v, relations, d)))
+        if order > cap:
+            return {"kind": "cyclic", "n": m}, m
+        return {"kind": "monomialQuotient", "m": m, "v": v, "relations": relations, "d": d}, order
+    if kind == "groupRing":
+        group = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+        size = math.prod(group)
+        base, b = _construction(draw, _root(cap, size))
+        return {"kind": "groupRing", "base": base, "group": group}, b**size
+    n = 2 if kind == "idealization" else draw(st.integers(2, 4))
+    base, b = _construction(draw, _root(cap, n))
+    doc = {"kind": kind, "base": base}
+    if kind == "polyQuotientXn":
+        doc["n"] = n
+    return doc, b**n
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_digit_gradings_match_former_builders_on_generated_rings(data):
+    """Products, idealizations, group rings, R[x]/(x^n) and monomial
+    quotients of order at most 64, nested."""
+    doc, order = _construction(data.draw, 64)
+    ring = build_spec(doc)
+    assert ring.order == order
+    _assert_matches_former_builders(ring)

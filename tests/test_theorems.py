@@ -5,11 +5,23 @@ from pathlib import Path
 import pytest
 
 from emrings.analysis import SearchCaps
-from emrings.construct import localization
-from emrings.grading import homogeneous_elements, trivial_grading
+from emrings.construct import cyclic, direct_product, localization, poly_quotient_xn
+from emrings.grading import (
+    Grading,
+    GradingGroup,
+    homogeneous_elements,
+    trivial_grading,
+    validate_grading,
+)
 from emrings.presets import preset_corpus
 from emrings.rings import idempotents, ideal_lattice, zero_divisors
-from emrings.theorems import CorpusEntry, _row, suite_failures, theorem_suite
+from emrings.theorems import (
+    CorpusEntry,
+    _biconditional,
+    _implication,
+    suite_failures,
+    theorem_suite,
+)
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -45,13 +57,35 @@ def test_suite_row_shape(small_suite):
 
 def test_row_semantics(z4, e1, e1_grading):
     entry = CorpusEntry("x", e1, e1_grading)
-    vacuous = _row("tag", entry, False, None)
-    assert vacuous.verdict == "true" and vacuous.bounds["hypothesis"] is False
-    violated = _row("tag", entry, True, False, detail={"why": "test"})
+    vacuous = _implication("tag", entry, lambda: False, None)
+    assert vacuous.verdict == "true" and vacuous.bounds == {"hypothesis": False}
+    violated = _implication("tag", entry, lambda: True, lambda: False, detail={"why": "test"})
     assert violated.verdict == "false"
-    assert violated.witness["conclusion_failed"] is True
-    skipped = _row("tag", entry, None, None, skipped="order cap")
-    assert skipped.verdict == "true" and skipped.bounds["skipped"] == "order cap"
+    assert violated.witness == {"hypothesis_held": True, "conclusion_failed": True, "why": "test"}
+    skipped = _implication("tag", entry, lambda: None, None, skip="order cap")
+    assert skipped.verdict == "true" and skipped.bounds == {"skipped": "order cap"}
+    assert _biconditional("tag", entry, lambda: False, lambda: False).bounds == {
+        "sides": [False, False]
+    }
+    split = _biconditional("tag", entry, lambda: True, lambda: False)
+    assert split.verdict == "false" and split.witness == {"left": True, "right": False}
+
+
+def test_t1_fails_when_a_pool_drops_an_element(monkeypatch):
+    """t1 recomputes hZ(R) from degree_of and annihilator_mask, so pools that
+    miss a homogeneous zero divisor fail the row."""
+    import emrings.theorems as theorems
+
+    pools = theorems._component_pools
+
+    def dropping(ring, grading):
+        out = pools(ring, grading)
+        key, pool = next((k, p) for k, p in out if p)
+        return [(k, p - {max(pool)} if k == key else p) for k, p in out]
+
+    monkeypatch.setattr(theorems, "_component_pools", dropping)
+    rows = _by_name(theorem_suite(preset_corpus(["e1"])))
+    assert rows["t1@e1"].witness == {"left": False, "right": True}
 
 
 def test_t6_runs_on_product_preset():
@@ -59,6 +93,27 @@ def test_t6_runs_on_product_preset():
     rows = _by_name(theorem_suite(entries, SearchCaps()))
     assert rows["t6@prod-e1sm"].bounds["sides"] == [True, True]
     assert not suite_failures(list(rows.values()))
+
+
+def test_t6_decides_factors_under_the_projected_grading():
+    """t6 grades each factor by the projections of the entry's components.
+    e1 x Z2 under the trivial grading projects to the trivial gradings, under
+    which e1 is not EM-graded, so both sides are false (not the canonical
+    Z2-grading of e1, which is).  Z3 x Z3 graded by the diagonal and the
+    antidiagonal is not a product grading: both project onto all of Z3."""
+    z3 = direct_product([cyclic(3), cyclic(3)])
+    diagonal = validate_grading(
+        Grading(z3, GradingGroup((2,)), {(0,): [0, 4, 8], (1,): [0, 5, 7]})
+    )
+    prod = direct_product([poly_quotient_xn(cyclic(4), 2, var="Y"), cyclic(2)])
+    entries = [
+        CorpusEntry("e1xZ2", prod, trivial_grading(prod)),
+        CorpusEntry("Z3xZ3", z3, diagonal),
+    ]
+    rows = _by_name(theorem_suite(entries))
+    assert suite_failures(list(rows.values())) == []
+    assert rows["t6@e1xZ2"].bounds == {"sides": [False, False]}
+    assert rows["t6@Z3xZ3"].bounds == {"skipped": "grading is not a product of its projections"}
 
 
 def test_t11_only_on_idealizations(small_suite):
