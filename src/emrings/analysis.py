@@ -39,7 +39,7 @@ from .rings import (
     FiniteRing,
     InternalInvariantError,
     _annihilator_sizes,
-    _principal,
+    _generator_min,
     _zero_divisor_mask,
     annihilator_mask,
     ideal_lattice,
@@ -105,12 +105,12 @@ class ContentWitness:
         if self.c == ring.zero:
             raise InternalInvariantError("content witness c is zero")
         c_ann = annihilator_mask(ring, [self.c])
-        if int(c_ann.sum()) == 1:
+        if np.count_nonzero(c_ann) == 1:
             raise InternalInvariantError("content witness c is not a zero divisor")
         if poly_scale(self.c, self.g) != f:
             raise InternalInvariantError("content witness does not factor f")
         g_ann = annihilator_mask(ring, set(self.g.coeffs))
-        if int(g_ann.sum()) != 1:
+        if np.count_nonzero(g_ann) != 1:
             raise InternalInvariantError("cofactor has a nonzero annihilator")
         f_ann = annihilator_mask(ring, set(f.coeffs))
         if not np.array_equal(f_ann, c_ann):
@@ -200,19 +200,18 @@ def _candidate_data(ring: FiniteRing) -> tuple[np.ndarray, list[list[int]]]:
 
     Returns their membership masks (row r marks c_r * R, so step (1) of the
     content search is one vectorized lookup) and the generators of each
-    ideal, ascending.  The generators of one cR are associates, so they all
-    accept or all fail (README, principal-class reduction).
+    ideal, ascending: the c sharing one least unit multiple
+    (rings._generator_min).  They are associates, so they all accept or all
+    fail (README, principal-class reduction).
     """
     cached = ring._cache.get("content_candidates")
     if cached is None:
-        by_key: dict[bytes, list[int]] = {}
-        for c in zero_divisors(ring).elements:
-            if c != ring.zero:
-                by_key.setdefault(_principal(ring, c)[0], []).append(c)
-        classes = list(by_key.values())
+        members = np.flatnonzero(_zero_divisor_mask(ring) & (np.arange(ring.order) != ring.zero))
+        least = _generator_min(ring)[members]
+        classes = [members[least == c].tolist() for c in members[least == members]]
         div = np.zeros((len(classes), ring.order), dtype=bool)
-        for row, members in zip(div, classes):
-            row[_principal(ring, members[0])[1]] = True
+        for row, group in zip(div, classes):
+            row[ring.mul_table[group[0]]] = True
         cached = (div, classes)
         ring._cache["content_candidates"] = cached
     return cached
@@ -510,9 +509,9 @@ def check_regular_embedding(grading: Grading) -> PropertyReport:
     def check(ideal):
         ann = annihilator_mask(ring, ideal.generators)
         inside = ann & re_mask
-        if int(inside.sum()) != 1:
+        if np.count_nonzero(inside) != 1:
             return None  # not regular inside R_e: hypothesis empty
-        if int(ann.sum()) != 1:
+        if np.count_nonzero(ann) != 1:
             return {
                 "tuple": [int(s) for s in ideal.generators],
                 "ambient_annihilator": int(np.nonzero(ann)[0][1]),
@@ -551,9 +550,9 @@ def verify_t5(
 
     def check(ideal):
         target = annihilator_mask(ring, ideal.generators)
-        if int(target.sum()) == 1:
+        count = np.count_nonzero(target)
+        if count == 1:
             return None  # regular coefficient set
-        count = int(target.sum())
         for c in np.nonzero(ann_sizes == count)[0]:
             if np.array_equal(ring.mul_table[:, c] == ring.zero, target):
                 return None
@@ -603,7 +602,7 @@ def check_bivariate_content(f: BivariatePolynomial) -> Optional[dict]:
     if tail and not (ring.mul_table[witness.c, tail] == zero).all():
         return {"f": str(f), "stage": "tail of cofactor not killed by content"}
     cof_ann = annihilator_mask(ring, set(slots.coefficient_ids()) | set(tail))
-    if int(cof_ann.sum()) != 1:
+    if np.count_nonzero(cof_ann) != 1:
         return {"f": str(f), "stage": "bivariate cofactor is not regular"}
     return None
 

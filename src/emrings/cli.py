@@ -269,15 +269,14 @@ def describe_ring(ring: FiniteRing, grading: Optional[Grading], preset: Optional
 
 def _build_parser() -> argparse.ArgumentParser:
     common = _ArgumentParser(add_help=False)
-    common.add_argument("--max-degree", type=int, default=3,
-                        help="degree bound of check --property armendariz/armendariz-graded")
-    common.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
-                        help="largest ring order constructions may materialize")
     common.add_argument("--format", choices=["text", "json"], default="text")
-    common.add_argument("--report-homogeneous-content", action="store_true",
-                        help="also search for a homogeneous annihilating content")
     common.add_argument("--no-timing", action="store_true",
                         help="omit elapsed milliseconds from reports (stable output)")
+    on_ring = _ArgumentParser(add_help=False, parents=[common])
+    on_ring.add_argument("--ring", required=True)
+    on_ring.add_argument("--grading", default=None)
+    on_ring.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
+                         help="largest ring order constructions may materialize")
 
     parser = _ArgumentParser(
         prog="emrings",
@@ -287,20 +286,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list-presets", help="list shipped presets", parents=[common])
+    sub.add_parser("describe", help="summarize a ring (and its grading)", parents=[on_ring])
 
-    p = sub.add_parser("describe", help="summarize a ring (and its grading)", parents=[common])
-    p.add_argument("--ring", required=True)
-    p.add_argument("--grading", default=None)
-
-    p = sub.add_parser("check", help="decide a property", parents=[common])
-    p.add_argument("--ring", required=True)
-    p.add_argument("--grading", default=None)
+    p = sub.add_parser("check", help="decide a property", parents=[on_ring])
     p.add_argument("--property", required=True, choices=PROPERTIES)
+    p.add_argument("--max-degree", type=int, default=3,
+                   help="degree bound of --property armendariz/armendariz-graded")
 
-    p = sub.add_parser("find-content", help="search an annihilating content", parents=[common])
-    p.add_argument("--ring", required=True)
-    p.add_argument("--grading", default=None)
+    p = sub.add_parser("find-content", help="search an annihilating content", parents=[on_ring])
     p.add_argument("--poly", required=True)
+    p.add_argument("--report-homogeneous-content", action="store_true",
+                   help="also search for a homogeneous annihilating content")
 
     p = sub.add_parser("suite", help="run the theorem catalog over a corpus", parents=[common])
     p.add_argument("--corpus", default=None, help="comma-separated preset names (default: all)")
@@ -349,6 +345,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 witness = find_annihilating_content(f, grading)
             except ValueError as err:
                 raise UsageError(str(err)) from err
+            exhausted = len(zero_divisors(ring)) - 1
             if args.format == "json":
                 doc = {
                     "poly": [int(c) for c in f.coeffs],
@@ -356,15 +353,12 @@ def main(argv: Optional[list[str]] = None) -> int:
                     "witness": None if witness is None else witness.to_dict(),
                 }
                 if witness is None:
-                    doc["certificate"] = {
-                        "candidates_exhausted": len(zero_divisors(ring)) - 1
-                    }
+                    doc["certificate"] = {"candidates_exhausted": exhausted}
                 print(json.dumps(doc, indent=2, sort_keys=True))
             else:
                 if witness is None:
-                    n = len(zero_divisors(ring)) - 1
                     print(f"{poly_str(f)}: no annihilating content "
-                          f"(all {n} nonzero zero divisors exhausted)")
+                          f"(all {exhausted} nonzero zero divisors exhausted)")
                 else:
                     print(f"{poly_str(f)}: content c = {ring.label(witness.c)}, "
                           f"cofactor g = {poly_str(witness.g)}")

@@ -19,9 +19,6 @@ from .rings import (
     FiniteRing,
     Ideal,
     InternalInvariantError,
-    _membership_key,
-    _principal,
-    annihilator_mask,
     idempotents,
     units,
     zero_divisors,
@@ -82,7 +79,6 @@ class Grading:
         ring: FiniteRing,
         group: GradingGroup,
         components: Mapping[Sequence[int], Iterable[int]],
-        labels: Optional[Mapping[DegreeKey, str]] = None,
     ):
         self.ring = ring
         self.group = group
@@ -96,7 +92,6 @@ class Grading:
                 raise GradingError("duplicate-degree", f"degree {k} appears twice")
             support[k] = es
         self.support = dict(sorted(support.items()))
-        self.labels = dict(labels) if labels else {}
         self._validated = False
         self._decomp: Optional[np.ndarray] = None
         self._degrees: Optional[list] = None
@@ -379,19 +374,19 @@ def check_t8_condition(grading: Grading) -> bool:
 
 
 def check_t10_condition(grading: Grading) -> tuple[bool, dict[int, Optional[int]]]:
-    """For each homogeneous a, find an idempotent b with Ann(a) = bR."""
+    """For each homogeneous a, the smallest idempotent b with Ann(a) = bR:
+    ab = 0 puts bR inside Ann(a), and |bR| = |R| / |Ann(b)| (README,
+    principal-class reduction), so they are equal iff the sizes agree."""
     grading.require_validated()
     ring = grading.ring
-    idem = idempotents(ring).elements
-    ok = True
+    idem = np.fromiter(idempotents(ring).elements, dtype=np.int64)
+    idem_ann = (ring.mul_table[idem] == ring.zero).sum(axis=1)
     witnesses: dict[int, Optional[int]] = {}
     for a in homogeneous_elements(grading).elements:
-        ann = _membership_key(ring, np.flatnonzero(annihilator_mask(ring, [a])))
-        found = next((b for b in idem if _principal(ring, b)[0] == ann), None)
-        witnesses[int(a)] = found
-        if found is None:
-            ok = False
-    return ok, witnesses
+        kills = ring.mul_table[a] == ring.zero
+        hits = idem[kills[idem] & (np.count_nonzero(kills) * idem_ann == ring.order)]
+        witnesses[int(a)] = int(hits[0]) if len(hits) else None
+    return None not in witnesses.values(), witnesses
 
 
 # -- canonical gradings ----------------------------------------------------------
@@ -421,18 +416,22 @@ _VECTOR_DEGREES = {
 
 
 def product_grading(ring: FiniteRing, factor_gradings: Sequence[Grading]) -> Grading:
-    """Componentwise grading of a direct product of same-group graded rings."""
+    """Componentwise grading of a direct product of same-group graded rings;
+    a factor graded by its identity component alone takes the others' group."""
     prov = ring.provenance or {}
     if prov.get("kind") != "product":
         raise ValueError("product_grading needs a direct_product ring")
     if len(factor_gradings) != len(ring.aux["factors"]):
         raise ValueError("one grading per factor required")
-    moduli = factor_gradings[0].group.moduli
-    if any(g.group.moduli != moduli for g in factor_gradings):
+    graded = [g for g in factor_gradings if set(g.support_keys) - {g.group.identity()}]
+    group = (graded or factor_gradings)[0].group
+    if any(g.group != group for g in graded):
         raise ValueError("factor gradings must share one group")
-    keys = sorted({k for g in factor_gradings for k in g.support_keys})
-    digits = [[g.component(key).elements for g in factor_gradings] for key in keys]
-    return _digit_grading(ring, GradingGroup(moduli), keys, digits)
+    whole = lambda g: Grading(g.ring, group, {group.identity(): g.ring.elements()})
+    regraded = [g if g.group == group else whole(g) for g in factor_gradings]
+    keys = sorted({k for g in regraded for k in g.support_keys})
+    digits = [[g.component(key).elements for g in regraded] for key in keys]
+    return _digit_grading(ring, group, keys, digits)
 
 
 def localization_grading(ring: FiniteRing) -> Grading:

@@ -357,7 +357,9 @@ def units(ring: FiniteRing) -> ElementSet:
 def _annihilator_sizes(ring: FiniteRing) -> np.ndarray:
     """|Ann(c)| for every element c: the zeros in row c of the
     multiplication table, which by commutativity is its column c."""
-    return _by_rows(ring.mul_table, lambda b: (b == ring.zero).sum(axis=1))
+    if "ann_sizes" not in ring._cache:
+        ring._cache["ann_sizes"] = _by_rows(ring.mul_table, lambda b: (b == ring.zero).sum(axis=1))
+    return ring._cache["ann_sizes"]
 
 
 def idempotents(ring: FiniteRing) -> ElementSet:
@@ -389,7 +391,7 @@ def annihilator_mask(ring: FiniteRing, subset: Iterable[int]) -> np.ndarray:
     for start in range(0, len(ids), 32):
         chunk = ids[start : start + 32]
         mask &= (ring.mul_table[chunk, :] == ring.zero).all(axis=0)
-        if int(mask.sum()) == 1:
+        if np.count_nonzero(mask) == 1:
             break
     return mask
 
@@ -415,10 +417,10 @@ def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     if not gen_ids:
         return Ideal(ring, (ring.zero,), generators=())
     # <g1..gk> = g1*R + ... + gk*R, and a generator already inside adds nothing
-    span = _principal(ring, gen_ids[0])[1]
+    span = _principal(ring, gen_ids[0])
     for g in gen_ids[1:]:
         if not (span == g).any():
-            span = additive_span(ring, span, _principal(ring, g)[1])
+            span = additive_span(ring, span, _principal(ring, g))
     return Ideal(ring, tuple(int(x) for x in span), generators=gen_ids)
 
 
@@ -428,32 +430,35 @@ def _membership_key(ring: FiniteRing, ids: np.ndarray) -> bytes:
     return np.packbits(mask).tobytes()
 
 
-def _principal(ring: FiniteRing, p: int) -> tuple[bytes, np.ndarray]:
-    """(membership key, sorted ids) of pR from a per-ring table.
+def _generator_min(ring: FiniteRing) -> np.ndarray:
+    """Entry p is the least u*p over the units u, the smallest generator of
+    pR: qR = pR iff q = u*p for a unit u (README, principal-class reduction).
+    One min over the unit rows of the table, a block of rows at a time."""
+    if "generator_min" not in ring._cache:
+        units = np.flatnonzero(~_zero_divisor_mask(ring))
+        step = max(1, _TILE * _TILE // ring.order)
+        ring._cache["generator_min"] = np.minimum.reduce(
+            [ring.mul_table[units[s : s + step]].min(axis=0) for s in range(0, len(units), step)]
+        )
+    return ring._cache["generator_min"]
 
-    Rows are filled on first use, one element at a time, and equal principal
-    ideals share one entry.
-    """
+
+def _principal(ring: FiniteRing, p: int) -> np.ndarray:
+    """The sorted ids of pR, filled once per class of equal principal ideals."""
     table = ring._cache.setdefault("principal", {})
-    hit = table.get(p)
-    if hit is None:
-        mask = np.zeros(ring.order, dtype=bool)
-        mask[ring.mul_table[p]] = True
-        ids = np.flatnonzero(mask)
-        key = _membership_key(ring, ids)
-        shared = ring._cache.setdefault("principal_by_key", {})
-        hit = table[p] = shared.setdefault(key, (key, ids))
-    return hit
+    g = int(_generator_min(ring)[p])
+    if g not in table:
+        table[g] = np.flatnonzero(np.bincount(ring.mul_table[g], minlength=ring.order))
+    return table[g]
 
 
 def is_principal(ring: FiniteRing, ideal: Ideal) -> Optional[int]:
-    """Smallest p with <p> equal to the ideal, or None (p ranges over the
-    ideal, since p lies in pR)."""
-    key = _membership_key(ring, np.fromiter(ideal.elements, dtype=np.int64))
-    for p in ideal.elements:
-        if _principal(ring, p)[0] == key:
-            return int(p)
-    return None
+    """Smallest p with <p> equal to the ideal, or None.  A p in an ideal I
+    has pR inside I, and |pR| * |Ann(p)| = |R|, so pR = I iff the sizes
+    agree; the one comparison left catches an element set that is no ideal."""
+    ids = np.fromiter(ideal.elements, dtype=np.int64)
+    hits = ids[_annihilator_sizes(ring)[ids] * len(ids) == ring.order]
+    return int(hits[0]) if len(hits) and np.array_equal(_principal(ring, hits[0]), ids) else None
 
 
 def ideal_lattice(
@@ -472,12 +477,15 @@ def ideal_lattice(
     """
     reps: list[tuple[int, np.ndarray]] = []  # smallest p of each distinct pR
     seen: set[bytes] = set()
+    classes: set[int] = set()
     level = []
+    least = _generator_min(ring)
     for p in sorted(set(int(x) for x in pool)):
-        key, ids = _principal(ring, p)
-        if key in seen:
+        if int(least[p]) in classes:
             continue  # I + pR = I + qR for the earlier q with qR = pR
-        seen.add(key)
+        classes.add(int(least[p]))
+        ids = _principal(ring, p)
+        seen.add(_membership_key(ring, ids))
         reps.append((p, ids))
         level.append((ids, (p,)))
         yield Ideal(ring, ids, generators=(p,))

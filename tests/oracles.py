@@ -7,10 +7,13 @@ search paths they exist to validate.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
+from emrings.construct import monomial_basis
 from emrings.grading import (
     Grading,
     GradingGroup,
@@ -568,7 +571,9 @@ def truncated_monomial_grading(ring: FiniteRing) -> Grading:
 
 
 def product_grading(ring: FiniteRing, factor_gradings: Sequence[Grading]) -> Grading:
-    """Componentwise grading of a direct product of same-group graded rings."""
+    """Componentwise grading of a direct product of same-group graded rings;
+    a factor graded by its identity component alone is regraded by the
+    group of the other factors first."""
     prov = ring.provenance or {}
     if prov.get("kind") != "product":
         raise ValueError("product_grading needs a direct_product ring")
@@ -576,9 +581,17 @@ def product_grading(ring: FiniteRing, factor_gradings: Sequence[Grading]) -> Gra
     radices = ring.aux["radices"]
     if len(factor_gradings) != len(factors):
         raise ValueError("one grading per factor required")
-    moduli = factor_gradings[0].group.moduli
-    if any(g.group.moduli != moduli for g in factor_gradings):
+    nontrivial = [g for g in factor_gradings if len(g.support) > 1
+                  or any(k != g.group.identity() for k in g.support)]
+    moduli = (nontrivial or factor_gradings)[0].group.moduli
+    if any(g.group.moduli != moduli for g in nontrivial):
         raise ValueError("factor gradings must share one group")
+    identity = GradingGroup(moduli).identity()
+    factor_gradings = [
+        g if g.group.moduli == moduli else validate_grading(
+            Grading(f, GradingGroup(moduli), {identity: range(f.order)}))
+        for g, f in zip(factor_gradings, factors)
+    ]
     weights = [int(np.prod(radices[:i])) for i in range(len(factors))]
     keys = sorted({k for g in factor_gradings for k in g.support_keys})
     comps = {}
@@ -644,3 +657,150 @@ def former_canonical_grading(ring: FiniteRing) -> Grading:
     if kind == "localization":
         return localization_grading(ring)
     return trivial_grading(ring)
+
+
+# -- generated construction documents
+
+
+def _root(cap: int, k: int) -> int:
+    """Largest b with b**k <= cap."""
+    b = 1
+    while (b + 1) ** k <= cap:
+        b += 1
+    return b
+
+
+def construction_document(draw, cap: int) -> tuple[dict, int]:
+    """A construction document of order at most ``cap``, and that order."""
+    kinds = ["cyclic"]
+    if cap >= 4:
+        kinds += ["product", "polyQuotientXn", "idealization", "groupRing", "monomialQuotient"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "cyclic":
+        n = draw(st.integers(1, min(cap, 8)))
+        return {"kind": "cyclic", "n": n}, n
+    if kind == "product":
+        first, a = construction_document(draw, cap // 2)
+        second, b = construction_document(draw, cap // a)
+        return {"kind": "product", "factors": [first, second]}, a * b
+    if kind == "monomialQuotient":
+        m, v, d = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        exponents = st.lists(st.integers(0, 2), min_size=v, max_size=v).filter(any)
+        relations = draw(st.lists(exponents, max_size=2))
+        order = m ** len(list(monomial_basis(v, relations, d)))
+        if order > cap:
+            return {"kind": "cyclic", "n": m}, m
+        return {"kind": "monomialQuotient", "m": m, "v": v, "relations": relations, "d": d}, order
+    if kind == "groupRing":
+        group = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+        size = math.prod(group)
+        base, b = construction_document(draw, _root(cap, size))
+        return {"kind": "groupRing", "base": base, "group": group}, b**size
+    n = 2 if kind == "idealization" else draw(st.integers(2, 4))
+    base, b = construction_document(draw, _root(cap, n))
+    doc = {"kind": kind, "base": base}
+    if kind == "polyQuotientXn":
+        doc["n"] = n
+    return doc, b**n
+
+
+# -- the former per-element principal-ideal table, keyed by membership bits;
+# the library now reads every principal-ideal question off rings._generator_min
+
+
+def _membership_key(ring, ids: np.ndarray) -> bytes:
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[ids] = True
+    return np.packbits(mask).tobytes()
+
+
+def _principal(ring, p: int) -> tuple[bytes, np.ndarray]:
+    """(membership key, sorted ids) of pR from a per-ring table.
+
+    Rows are filled on first use, one element at a time, and equal principal
+    ideals share one entry.  (The table lives under its own cache names, so
+    it never meets the library's.)
+    """
+    table = ring._cache.setdefault("former_principal", {})
+    hit = table.get(p)
+    if hit is None:
+        mask = np.zeros(ring.order, dtype=bool)
+        mask[ring.mul_table[p]] = True
+        ids = np.flatnonzero(mask)
+        key = _membership_key(ring, ids)
+        shared = ring._cache.setdefault("former_principal_by_key", {})
+        hit = table[p] = shared.setdefault(key, (key, ids))
+    return hit
+
+
+def keyed_generator_min(ring) -> np.ndarray:
+    """Entry p is the smallest q whose principal ideal has p's membership key."""
+    first: dict[bytes, int] = {}
+    return np.array([first.setdefault(_principal(ring, p)[0], p) for p in range(ring.order)])
+
+
+def keyed_candidate_data(ring) -> tuple[np.ndarray, list[list[int]]]:
+    """The former content-search candidate table: Z(R)\\{0} grouped by key."""
+    by_key: dict[bytes, list[int]] = {}
+    zd = zero_divisor_mask_full(ring)
+    for c in range(ring.order):
+        if zd[c] and c != ring.zero:
+            by_key.setdefault(_principal(ring, c)[0], []).append(c)
+    classes = list(by_key.values())
+    div = np.zeros((len(classes), ring.order), dtype=bool)
+    for row, members in zip(div, classes):
+        row[_principal(ring, members[0])[1]] = True
+    return div, classes
+
+
+def keyed_is_principal(ring, ideal) -> Optional[int]:
+    """Smallest p with <p> equal to the ideal, or None (p ranges over the
+    ideal, since p lies in pR)."""
+    key = _membership_key(ring, np.fromiter(ideal.elements, dtype=np.int64))
+    for p in ideal.elements:
+        if _principal(ring, p)[0] == key:
+            return int(p)
+    return None
+
+
+def keyed_t10_witnesses(grading) -> dict[int, Optional[int]]:
+    """For each homogeneous a, the first idempotent b with Ann(a) = bR."""
+    ring = grading.ring
+    idem = [int(b) for b in np.flatnonzero(ring.mul_table.diagonal() == np.arange(ring.order))]
+    homogeneous = sorted({ring.zero}.union(*(es.elements for es in grading.support.values())))
+    witnesses = {}
+    for a in homogeneous:
+        ann = _membership_key(ring, np.flatnonzero(table_annihilator(ring, [a])))
+        witnesses[int(a)] = next((b for b in idem if _principal(ring, b)[0] == ann), None)
+    return witnesses
+
+
+def keyed_ideal_lattice(ring, pool, max_gens: Optional[int] = None):
+    """The former ideal-lattice enumeration, (generators, elements) per ideal,
+    with level 1 deduplicated on membership keys."""
+    reps: list[tuple[int, np.ndarray]] = []
+    seen: set[bytes] = set()
+    level = []
+    for p in sorted(set(int(x) for x in pool)):
+        key, ids = _principal(ring, p)
+        if key in seen:
+            continue
+        seen.add(key)
+        reps.append((p, ids))
+        level.append((ids, (p,)))
+        yield (p,), tuple(int(x) for x in ids)
+    while level and (max_gens is None or len(level[0][1]) < max_gens):
+        parents, level = level, []
+        for ids, path in parents:
+            members = np.zeros(ring.order, dtype=bool)
+            members[ids] = True
+            for p, pr in reps:
+                if p <= path[-1] or members[p]:
+                    continue
+                joined = np.unique(ring.add_table[np.ix_(ids, pr)])
+                key = _membership_key(ring, joined)
+                if key in seen:
+                    continue
+                seen.add(key)
+                level.append((joined, path + (p,)))
+                yield path + (p,), tuple(int(x) for x in joined)

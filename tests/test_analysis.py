@@ -1,6 +1,10 @@
 import functools
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from emrings.analysis import (
     verify_t7_bounded,
 )
 from emrings.construct import (
+    build_spec,
     cyclic,
     direct_product,
     idealization,
@@ -36,6 +41,7 @@ from emrings.grading import (
     Grading,
     canonical_grading,
     check_t2_hypotheses,
+    check_t10_condition,
     is_graded_ideal,
     localization_grading,
     trivial_grading,
@@ -45,14 +51,19 @@ from emrings.poly import bivariate, content_ideal, kronecker_flatten, poly_mul, 
 from emrings.presets import PRESETS, build_preset, preset_names
 from emrings.rings import (
     FiniteRing,
+    _generator_min,
     annihilator,
     ideal_generated,
     ideal_lattice,
+    is_principal,
     units,
     validate_ring,
     zero_divisors,
 )
 
+from emrings.theorems import EXTENSION_CAP
+
+import oracles
 from oracles import (
     armendariz_scan_loop,
     content_bruteforce,
@@ -256,6 +267,97 @@ def test_homogeneous_content_matches_oracle(name):
             w = find_annihilating_content(polynomial(ring, coeffs), grading)
             expected = content_bruteforce(ring, coeffs, keep=homogeneous.__contains__)
             assert (None if w is None else w.homogeneous_c) == expected, (name, coeffs)
+
+
+def _assert_principal_questions_match_keyed_table(ring, grading):
+    """_generator_min, the content-search classes, the ideal lattice (over
+    all of R and over each component's nonzero zero divisors, whose pools
+    may miss the least generator of a class), is_principal on every ideal
+    the lattice yields, and the t10 witnesses all agree with the former
+    table keyed by membership bits.  Rings above order 1024 stop the
+    lattice at two generators, and above 4096 at one."""
+    assert np.array_equal(_generator_min(ring), oracles.keyed_generator_min(ring))
+    div, classes = _candidate_data(ring)
+    keyed_div, keyed_classes = oracles.keyed_candidate_data(ring)
+    assert classes == keyed_classes
+    assert np.array_equal(div, keyed_div)
+    max_gens = None if ring.order <= 1024 else 2 if ring.order <= 4096 else 1
+    zd = zero_divisors(ring).element_set - {ring.zero}
+    pools = [range(ring.order)] + [zd & es.element_set for es in grading.support.values()]
+    for pool in pools:
+        ideals = list(ideal_lattice(ring, pool, max_gens))
+        got = [(ideal.generators, ideal.elements) for ideal in ideals]
+        assert got == list(oracles.keyed_ideal_lattice(ring, pool, max_gens))
+        for ideal in ideals:
+            assert is_principal(ring, ideal) == oracles.keyed_is_principal(ring, ideal)
+    assert check_t10_condition(grading)[1] == oracles.keyed_t10_witnesses(grading)
+
+
+def _graded(ring):
+    """(ring, canonical grading), or the trivial grading where the
+    canonical one raises."""
+    try:
+        return ring, canonical_grading(ring)
+    except ValueError:
+        return ring, trivial_grading(ring)
+
+
+_PRINCIPAL_CASES = {
+    **{f"preset {name}": (lambda name=name: build_preset(name)) for name in PRESETS},
+    **{
+        f"{name}[X]/(X^2)": (
+            lambda name=name: _graded(
+                poly_quotient_xn(build_preset(name)[0], 2, var="X", max_order=EXTENSION_CAP)
+            )
+        )
+        for name in PRESETS
+        if not name.startswith("e2-trunc")  # orders 216 and 7776: 216^2 > EXTENSION_CAP
+    },
+    "suite-mid z4-xy-trunc-d2": lambda: _graded(build_spec(
+        {"kind": "monomialQuotient", "m": 4, "v": 2, "relations": [[1, 1]], "d": 2})),
+    **{
+        f"relabelled {name}": (lambda name=name: _relabelled(*build_preset(name), seed=6))
+        for name in PRESETS
+        if name != "e2-trunc-d2"
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_PRINCIPAL_CASES))
+def test_principal_questions_match_keyed_table(name):
+    """Every preset, each square-zero extension of order <= EXTENSION_CAP,
+    suite-mid's order-1024 ring and seeded relabellings of the presets."""
+    ring, grading = _PRINCIPAL_CASES[name]()
+    _assert_principal_questions_match_keyed_table(ring, grading)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_principal_questions_match_keyed_table_on_generated_rings(data):
+    """Generated construction documents of order at most 64."""
+    doc, _ = oracles.construction_document(data.draw, 64)
+    _assert_principal_questions_match_keyed_table(*_graded(build_spec(doc)))
+
+
+def test_content_search_leaves_numpy_ma_unimported():
+    """numpy.ma costs resident memory on first import (np.unique pulls it
+    in); building e1 and running the content search must not load it."""
+    script = (
+        "import sys\n"
+        "from emrings.analysis import find_annihilating_content\n"
+        "from emrings.construct import cyclic, poly_quotient_xn\n"
+        "from emrings.grading import canonical_grading\n"
+        "from emrings.poly import polynomial\n"
+        "from emrings.rings import validate_ring\n"
+        "e1 = validate_ring(poly_quotient_xn(cyclic(4), 2, var='Y'))\n"
+        "w = find_annihilating_content(polynomial(e1, [4, 12]), canonical_grading(e1))\n"
+        "assert w is not None and w.c == 4\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = str(Path(sys.modules["emrings"].__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_content_monotone_in_coefficient_set(e1):

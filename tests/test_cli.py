@@ -110,6 +110,8 @@ def test_unknown_preset_is_usage_error(capsys):
 @pytest.mark.parametrize("argv", [
     ["check", "--ring", "z4", "--property", "nope"],
     ["check", "--ring", "z4", "--property", "em", "--max-subset", "4"],  # removed flag
+    ["suite", "--max-degree", "2"],  # suite runs t3 at its own degree
+    ["list-presets", "--max-order", "4"],  # builds no ring
 ])
 def test_bad_command_line_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

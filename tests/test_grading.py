@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +9,9 @@ from emrings.construct import (
     group_ring,
     idealization,
     localization,
-    monomial_basis,
     monomial_quotient,
     poly_quotient_xn,
+    product_project,
 )
 from emrings.grading import (
     Automorphism,
@@ -206,6 +204,36 @@ def test_product_grading_componentwise():
     assert len(g.support[(0,)]) == 4 and len(g.support[(1,)]) == 4
 
 
+@pytest.mark.parametrize("trivial_first", [True, False])
+def test_product_grading_regrades_trivially_graded_factor(trivial_first):
+    """Z2 is graded over the trivial group Z_1 and Z4[Y]/(Y^2) over Z_2: the
+    product takes Z_2, with Z2 inside the degree-0 component.  The zero
+    ring, whose grading has no support, joins the same way."""
+    y2 = poly_quotient_xn(cyclic(4), 2, var="Y")
+    for other in (cyclic(2), cyclic(1)):
+        factors = [other, y2] if trivial_first else [y2, other]
+        ring = direct_product(factors)
+        g = canonical_grading(ring)
+        assert g.group.moduli == (2,) and g.support_keys == [(0,), (1,)]
+        pos = factors.index(y2)
+        y2_grading = canonical_grading(y2)
+        for key, es in g.support.items():
+            ids = np.fromiter(es.elements, dtype=np.int64)
+            assert len(ids) == other.order ** (key == (0,)) * 4
+            y2_part = set(y2_grading.support[key].elements)
+            assert set(product_project(ring, pos, ids).tolist()) == y2_part
+            assert set(product_project(ring, 1 - pos, ids).tolist()) == (
+                set(range(other.order)) if key == (0,) else {0}
+            )
+
+
+def test_product_grading_keeps_error_for_different_groups():
+    """Z2[Y]/(Y^2) over Z_2 and Z2[x]/(x^3) over Z_3 share no grading group."""
+    ring = direct_product([poly_quotient_xn(cyclic(2), 2, var="Y"), poly_quotient_xn(cyclic(2), 3)])
+    with pytest.raises(ValueError, match="factor gradings must share one group"):
+        canonical_grading(ring)
+
+
 def test_localization_grading(e1, e1_grading):
     loc = localization(e1, e1_grading, [1, 3])
     g = localization_grading(loc)
@@ -360,54 +388,12 @@ def test_digit_gradings_match_former_builders(name):
     _assert_matches_former_builders(_GRADED_RINGS[name]())
 
 
-def _root(cap: int, k: int) -> int:
-    """Largest b with b**k <= cap."""
-    b = 1
-    while (b + 1) ** k <= cap:
-        b += 1
-    return b
-
-
-def _construction(draw, cap: int) -> tuple[dict, int]:
-    """A construction document of order at most ``cap``, and that order."""
-    kinds = ["cyclic"]
-    if cap >= 4:
-        kinds += ["product", "polyQuotientXn", "idealization", "groupRing", "monomialQuotient"]
-    kind = draw(st.sampled_from(kinds))
-    if kind == "cyclic":
-        n = draw(st.integers(1, min(cap, 8)))
-        return {"kind": "cyclic", "n": n}, n
-    if kind == "product":
-        first, a = _construction(draw, cap // 2)
-        second, b = _construction(draw, cap // a)
-        return {"kind": "product", "factors": [first, second]}, a * b
-    if kind == "monomialQuotient":
-        m, v, d = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
-        exponents = st.lists(st.integers(0, 2), min_size=v, max_size=v).filter(any)
-        relations = draw(st.lists(exponents, max_size=2))
-        order = m ** len(list(monomial_basis(v, relations, d)))
-        if order > cap:
-            return {"kind": "cyclic", "n": m}, m
-        return {"kind": "monomialQuotient", "m": m, "v": v, "relations": relations, "d": d}, order
-    if kind == "groupRing":
-        group = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
-        size = math.prod(group)
-        base, b = _construction(draw, _root(cap, size))
-        return {"kind": "groupRing", "base": base, "group": group}, b**size
-    n = 2 if kind == "idealization" else draw(st.integers(2, 4))
-    base, b = _construction(draw, _root(cap, n))
-    doc = {"kind": kind, "base": base}
-    if kind == "polyQuotientXn":
-        doc["n"] = n
-    return doc, b**n
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_digit_gradings_match_former_builders_on_generated_rings(data):
     """Products, idealizations, group rings, R[x]/(x^n) and monomial
     quotients of order at most 64, nested."""
-    doc, order = _construction(data.draw, 64)
+    doc, order = oracles.construction_document(data.draw, 64)
     ring = build_spec(doc)
     assert ring.order == order
     _assert_matches_former_builders(ring)

@@ -11,6 +11,7 @@ from emrings.rings import (
     SAMPLED_TRIPLES,
     ElementSet,
     FiniteRing,
+    Ideal,
     RingAxiomError,
     annihilator,
     divisor_solutions,
@@ -229,6 +230,8 @@ def test_is_principal_examples(z4, z6, e1):
     ideal = ideal_generated(e1, [8])
     assert ideal.elements == (0, 8)
     assert is_principal(e1, ideal) == 8
+    # {0, 2, 3} is no ideal, though |2*Z6| = 3: no p generates it
+    assert is_principal(z6, Ideal(z6, (0, 2, 3))) is None
 
 
 def test_is_principal_matches_generated_ideals(z6, e1):
