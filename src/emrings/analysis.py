@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .construct import _decode_all
-from .grading import Grading, check_t2_hypotheses, is_graded_ideal
+from .grading import Grading, check_t2_hypotheses, component_zero_divisors, is_graded_ideal
 from .poly import (
     BivariatePolynomial,
     Polynomial,
@@ -162,17 +162,6 @@ def _lattice_hit(
         if hit is not None:
             return tag, hit[1]
     return None
-
-
-def _component_pools(ring: FiniteRing, grading: Grading) -> list:
-    """(key, nonzero zero divisors of R_key) for each support component, in
-    key order: a homogeneous coefficient set lies in one component, and a
-    unit coefficient makes a polynomial regular."""
-    zd = _zero_divisor_mask(ring)
-    return [
-        (key, {e for e in grading.support[key].elements if zd[e]} - {ring.zero})
-        for key in grading.support_keys
-    ]
 
 
 def _report(
@@ -366,7 +355,7 @@ def is_em_g_graded(ring: FiniteRing, grading: Grading) -> PropertyReport:
     a false witness also names the component.
     """
     t0 = time.perf_counter()
-    pools = _component_pools(ring, grading)
+    pools = component_zero_divisors(grading)
     hit = _lattice_hit(ring, pools, lambda ideal: _em_failure(ring, ideal))
     return _report("em-graded", ring, t0, hit)
 
@@ -460,8 +449,7 @@ def is_armendariz(ring: FiniteRing, degree: int = 1) -> PropertyReport:
 
 def is_armendariz_g_graded(ring: FiniteRing, grading: Grading, degree: int = 1) -> PropertyReport:
     """Armendariz condition restricted to homogeneous f, g."""
-    zd = zero_divisors(ring).element_set
-    pools = [(key, sorted(set(grading.support[key].elements) & zd)) for key in grading.support_keys]
+    pools = [(key, sorted([ring.zero, *ids])) for key, ids in component_zero_divisors(grading)]
     return _armendariz_report("armendariz-graded", ring, pools, degree)
 
 
@@ -561,7 +549,7 @@ def verify_t5(
             "classified": "internal-bug-indicator",
         }
 
-    return _report("t5", ring, t0, _lattice_hit(ring, _component_pools(ring, grading), check))
+    return _report("t5", ring, t0, _lattice_hit(ring, component_zero_divisors(grading), check))
 
 
 def ideal_grid(ring: FiniteRing, generators: Sequence[int]) -> BivariatePolynomial:
@@ -632,4 +620,4 @@ def verify_t7_bounded(
         failure = check_bivariate_content(ideal_grid(ring, ideal.generators))
         return None if failure is None else {**failure, "classified": "internal-bug-indicator"}
 
-    return _report("t7", ring, t0, _lattice_hit(ring, _component_pools(ring, grading), check))
+    return _report("t7", ring, t0, _lattice_hit(ring, component_zero_divisors(grading), check))

@@ -269,7 +269,6 @@ def _vector_ring(
     )
     ring.aux["base"] = base
     ring.aux["radices"] = radices
-    ring.aux["basis_labels"] = list(basis_labels)
     return ring
 
 
@@ -510,8 +509,6 @@ def localization(ring: FiniteRing, grading, s_elems: Iterable[int]):
     ``aux['class_pairs']`` lists the first-seen representative pair per
     class.
     """
-    from .grading import homogeneous_elements  # deferred: grading imports construct
-
     s_ids = sorted(set(int(s) for s in s_elems))
     bad = [s for s in s_ids if not 0 <= s < ring.order]
     if bad:
@@ -522,8 +519,7 @@ def localization(ring: FiniteRing, grading, s_elems: Iterable[int]):
     closed = np.isin(ring.mul_table[np.ix_(s_arr, s_arr)], s_arr).all()
     if not closed:
         raise ValueError("set is not multiplicatively closed")
-    hom = homogeneous_elements(grading).element_set
-    if not set(s_ids) <= hom:
+    if not all(s == ring.zero or grading.degree_of(s) is not None for s in s_ids):
         raise ValueError("multiplicative set must consist of homogeneous elements")
     n = ring.order
     ns = len(s_ids)

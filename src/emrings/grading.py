@@ -19,9 +19,9 @@ from .rings import (
     FiniteRing,
     Ideal,
     InternalInvariantError,
+    _zero_divisor_mask,
     idempotents,
     units,
-    zero_divisors,
 )
 
 DegreeKey = tuple[int, ...]
@@ -66,11 +66,13 @@ class GradingGroup:
 
 
 class Grading:
-    """A validated decomposition R = (+)_sigma R_sigma with multiplicativity.
+    """A decomposition R = (+)_sigma R_sigma with multiplicativity, validated
+    when built.
 
-    Construct with the raw support mapping, then pass through
-    :func:`validate_grading` (the canonical-grading builders do this for
-    you).  ``support`` maps degree keys to ElementSets; keys are kept in
+    ``components`` maps degree vectors to element ids; zero components are
+    dropped, and the constructor ends with :func:`validate_grading`, which
+    raises :class:`GradingError` on a violated axiom, so every Grading is
+    valid.  ``support`` maps degree keys to ElementSets; keys are kept in
     sorted order so every iteration downstream is deterministic.
     """
 
@@ -92,9 +94,7 @@ class Grading:
                 raise GradingError("duplicate-degree", f"degree {k} appears twice")
             support[k] = es
         self.support = dict(sorted(support.items()))
-        self._validated = False
-        self._decomp: Optional[np.ndarray] = None
-        self._degrees: Optional[list] = None
+        validate_grading(self)
 
     @property
     def support_keys(self) -> list[DegreeKey]:
@@ -107,13 +107,8 @@ class Grading:
     def identity_component(self) -> ElementSet:
         return self.component(self.group.identity())
 
-    def require_validated(self) -> None:
-        if not self._validated:
-            raise InternalInvariantError("grading used before validate_grading")
-
     def degree_of(self, a: int) -> Optional[DegreeKey]:
         """Degree of a nonzero homogeneous element, else None (deg 0 undefined)."""
-        self.require_validated()
         return self._degrees[a]
 
     def to_dict(self) -> dict:
@@ -145,7 +140,7 @@ def grading_from_dict(ring: FiniteRing, doc: Mapping) -> Grading:
         if key in by_degree:
             raise GradingError("duplicate-degree", f"degree {key} appears twice")
         by_degree[key] = c["elements"]
-    return validate_grading(Grading(ring, group, by_degree))
+    return Grading(ring, group, by_degree)
 
 
 def validate_grading(grading: Grading) -> Grading:
@@ -154,7 +149,8 @@ def validate_grading(grading: Grading) -> Grading:
     Checks, in order: each component is an additive subgroup; the components
     sum directly to the whole ring (counting plus bijectivity of the sum
     map); multiplicativity R_sigma R_tau inside R_{sigma tau}; and 1 in R_e.
-    Raises :class:`GradingError` naming the violated clause.
+    Raises :class:`GradingError` naming the violated clause.  The Grading
+    constructor calls it; on a built grading it checks again and returns it.
     """
     ring = grading.ring
     n = ring.order
@@ -233,7 +229,6 @@ def validate_grading(grading: Grading) -> Grading:
             degrees[a] = k
     grading._decomp = decomp
     grading._degrees = degrees
-    grading._validated = True
     return grading
 
 
@@ -242,7 +237,6 @@ def validate_grading(grading: Grading) -> Grading:
 
 def decompose(grading: Grading, a: int) -> dict[DegreeKey, int]:
     """Unique decomposition of ``a``; keys with zero component are omitted."""
-    grading.require_validated()
     row = grading._decomp[a]
     return {
         k: int(row[pos])
@@ -258,14 +252,32 @@ def homogeneous_elements(grading: Grading) -> ElementSet:
     return ElementSet(grading.ring, ids)
 
 
+def component_zero_divisors(grading: Grading) -> list[tuple[DegreeKey, np.ndarray]]:
+    """(key, ids) for each support component in key order, ``ids`` the
+    ascending nonzero zero divisors in R_key.  These are the coefficient pools
+    of the homogeneous zero-divisor polynomials: their coefficients lie in one
+    component, and a unit coefficient would make them regular."""
+    ring = grading.ring
+    zd = _zero_divisor_mask(ring)
+    pools = []
+    for key, es in grading.support.items():
+        ids = np.fromiter(es.elements, dtype=np.int64)
+        pools.append((key, ids[zd[ids] & (ids != ring.zero)]))
+    return pools
+
+
 def homogeneous_zero_divisors(grading: Grading) -> ElementSet:
-    zd = zero_divisors(grading.ring).element_set
-    return ElementSet(grading.ring, homogeneous_elements(grading).element_set & zd)
+    """0 (a zero divisor of every nonzero ring) and each component's nonzero
+    zero divisors."""
+    ring = grading.ring
+    ids = [ring.zero] if ring.order > 1 else []
+    for _, pool in component_zero_divisors(grading):
+        ids.extend(pool.tolist())
+    return ElementSet(ring, ids)
 
 
 def is_graded_ideal(grading: Grading, ideal: Ideal) -> bool:
     """True iff every member's homogeneous components lie in the ideal."""
-    grading.require_validated()
     ids = np.fromiter(ideal.elements, dtype=np.int64)
     mask = np.zeros(grading.ring.order, dtype=bool)
     mask[ids] = True
@@ -279,7 +291,6 @@ def is_crossed_product(grading: Grading) -> tuple[bool, dict[DegreeKey, Optional
     to satisfy R_sigma = R_e u (which crossed products guarantee); a failure
     of that identity would be an internal bug, not a property verdict.
     """
-    grading.require_validated()
     ring = grading.ring
     unit_set = units(ring).element_set
     re = np.fromiter(grading.identity_component().elements, dtype=np.int64)
@@ -306,21 +317,23 @@ def is_crossed_product(grading: Grading) -> tuple[bool, dict[DegreeKey, Optional
 
 
 def transport_grading(grading: Grading, auto: "Automorphism") -> Grading:
-    """Push the grading forward through a validated ring automorphism."""
-    validate_automorphism(auto)
+    """Push the grading forward through a ring automorphism."""
     perm = np.fromiter(auto.perm, dtype=np.int64)
     comps = {
         k: [int(perm[e]) for e in es.elements] for k, es in grading.support.items()
     }
-    return validate_grading(Grading(grading.ring, grading.group, comps))
+    return Grading(grading.ring, grading.group, comps)
 
 
 @dataclass(frozen=True)
 class Automorphism:
-    """A ring automorphism as a permutation of element ids."""
+    """A ring automorphism as a permutation of element ids, checked when built."""
 
     ring: FiniteRing
     perm: tuple[int, ...]
+
+    def __post_init__(self):
+        validate_automorphism(self)
 
 
 def validate_automorphism(auto: Automorphism) -> Automorphism:
@@ -343,7 +356,6 @@ def validate_automorphism(auto: Automorphism) -> Automorphism:
 def check_t2_hypotheses(grading: Grading) -> tuple[bool, dict[DegreeKey, Optional[int]]]:
     """For each support component, find u with R_sigma = R_e u and no nonzero
     annihilator of u inside R_e; reports the smallest such u per component."""
-    grading.require_validated()
     ring = grading.ring
     re = np.fromiter(grading.identity_component().elements, dtype=np.int64)
     ok = True
@@ -369,15 +381,13 @@ def check_t2_hypotheses(grading: Grading) -> tuple[bool, dict[DegreeKey, Optiona
 
 def check_t8_condition(grading: Grading) -> bool:
     """True iff no nonzero homogeneous element is a zero divisor."""
-    hz = homogeneous_zero_divisors(grading)
-    return all(e == grading.ring.zero for e in hz.elements)
+    return not any(len(pool) for _, pool in component_zero_divisors(grading))
 
 
 def check_t10_condition(grading: Grading) -> tuple[bool, dict[int, Optional[int]]]:
     """For each homogeneous a, the smallest idempotent b with Ann(a) = bR:
     ab = 0 puts bR inside Ann(a), and |bR| = |R| / |Ann(b)| (README,
     principal-class reduction), so they are equal iff the sizes agree."""
-    grading.require_validated()
     ring = grading.ring
     idem = np.fromiter(idempotents(ring).elements, dtype=np.int64)
     idem_ann = (ring.mul_table[idem] == ring.zero).sum(axis=1)
@@ -394,7 +404,7 @@ def check_t10_condition(grading: Grading) -> tuple[bool, dict[int, Optional[int]
 
 def trivial_grading(ring: FiniteRing) -> Grading:
     group = GradingGroup((1,))
-    return validate_grading(Grading(ring, group, {(0,): range(ring.order)}))
+    return Grading(ring, group, {(0,): range(ring.order)})
 
 
 def _digit_grading(ring: FiniteRing, group: GradingGroup, keys: Sequence, digits) -> Grading:
@@ -402,7 +412,7 @@ def _digit_grading(ring: FiniteRing, group: GradingGroup, keys: Sequence, digits
     holds the ids with digit k in ``digits[i][k]`` (README, "Digit-set
     gradings")."""
     comps = {key: digit_ids(ring, sets) for key, sets in zip(keys, digits)}
-    return validate_grading(Grading(ring, group, comps))
+    return Grading(ring, group, comps)
 
 
 # kind -> (moduli, degree of each basis element) of a coefficient-vector ring,
@@ -451,7 +461,7 @@ def localization_grading(ring: FiniteRing) -> Grading:
         k: canonical[np.fromiter(es.elements, dtype=np.int64)]
         for k, es in bgrading.support.items()
     }
-    return validate_grading(Grading(ring, bgrading.group, comps))
+    return Grading(ring, bgrading.group, comps)
 
 
 def square_zero_extension_grading(ring: FiniteRing, base_grading: Grading) -> Grading:

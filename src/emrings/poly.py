@@ -151,7 +151,6 @@ def is_zero_divisor_poly(f: Polynomial) -> tuple[bool, Optional[int]]:
 def is_homogeneous(grading: Grading, f: Polynomial):
     """Degree key if every nonzero coefficient sits in one component, the
     ANY_DEGREE marker for the zero polynomial, None otherwise."""
-    grading.require_validated()
     if f.is_zero:
         return ANY_DEGREE
     degrees = {

@@ -87,12 +87,6 @@ class FiniteRing:
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[a, b])
 
-    def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
-
-    def sub(self, a: int, b: int) -> int:
-        return int(self.add_table[a, self.neg_table[b]])
-
     @property
     def neg_table(self) -> np.ndarray:
         neg = self._cache.get("neg")
@@ -178,9 +172,6 @@ class ElementSet:
     @functools.cached_property
     def element_set(self) -> frozenset:
         return frozenset(self.elements)
-
-    def labels(self) -> list[str]:
-        return [self.ring.label(e) for e in self.elements]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ import numpy as np
 from .analysis import (
     PropertyReport,
     SearchCaps,
-    _component_pools,
     _lattice_hit,
     _ring_bounds,
     check_regular_embedding,
@@ -37,13 +36,12 @@ from .grading import (
     check_t2_hypotheses,
     check_t8_condition,
     check_t10_condition,
-    homogeneous_elements,
+    component_zero_divisors,
     is_crossed_product,
     is_graded_ideal,
     localization_grading,
     product_grading,
     square_zero_extension_grading,
-    validate_grading,
 )
 from .rings import FiniteRing, annihilator, annihilator_mask, idempotents, subring
 
@@ -145,7 +143,7 @@ def _projected_gradings(ring: FiniteRing, grading: Grading) -> Optional[list[Gra
             for k, es in grading.support.items()
         }
         try:
-            projected.append(validate_grading(Grading(factor, grading.group, comps)))
+            projected.append(Grading(factor, grading.group, comps))
         except GradingError:
             return None
     support = lambda g: {k: es.elements for k, es in g.support.items()}
@@ -187,7 +185,7 @@ def _entry_rows(state: _EntryState, armendariz_degree: Optional[int]) -> list[Pr
     # cover hZ(R), recomputed as the nonzero homogeneous x (degree_of) with a
     # nonzero annihilator (annihilator_mask)
     def pools_cover_hz() -> bool:
-        union = {ring.zero}.union(*(pool for _, pool in _component_pools(ring, grading)))
+        union = {ring.zero}.union(*(ids.tolist() for _, ids in component_zero_divisors(grading)))
         hom = [x for x in range(ring.order) if grading.degree_of(x) is not None]
         hz = {x for x in hom if np.count_nonzero(annihilator_mask(ring, [x])) > 1}
         return union == hz | {ring.zero}
@@ -211,9 +209,8 @@ def _entry_rows(state: _EntryState, armendariz_degree: Optional[int]) -> list[Pr
     # one per nonzero homogeneous idempotent e (README, "Localization grading");
     # e = 1 gives R itself, whose verdict is the hypothesis, and 0 in S the zero ring
     def corners_em_graded() -> bool:
-        hom = homogeneous_elements(grading).element_set
         for e in idempotents(ring).elements:
-            if e in (ring.zero, ring.one) or e not in hom:
+            if e in (ring.zero, ring.one) or grading.degree_of(e) is None:
                 continue
             loc = localization(ring, grading, [ring.one, e])
             if not is_em_g_graded(loc, localization_grading(loc)).holds:
@@ -280,7 +277,7 @@ def _entry_rows(state: _EntryState, armendariz_degree: Optional[int]) -> list[Pr
     # generates R, which is graded: the ideals over each component's nonzero
     # zero divisors decide
     def graded_contents() -> bool:
-        pools = _component_pools(ring, grading)
+        pools = component_zero_divisors(grading)
         return _lattice_hit(
             ring, pools, lambda ideal: None if is_graded_ideal(grading, ideal) else ideal
         ) is None

@@ -17,10 +17,12 @@ from emrings.construct import monomial_basis
 from emrings.grading import (
     Grading,
     GradingGroup,
+    homogeneous_elements,
     localization_grading,
     trivial_grading,
     validate_grading,
 )
+from emrings.rings import ElementSet, _zero_divisor_mask, units, zero_divisors
 
 
 def subset_stream(pool: Iterable[int]):
@@ -326,9 +328,6 @@ def localization_grading_pairs(loc, pair_class, s_ids):
 def homogeneous_units(grading) -> list:
     """The homogeneous regular elements, which in a finite ring are the
     homogeneous units: the set hT(R) localizes at."""
-    from emrings.grading import homogeneous_elements
-    from emrings.rings import units
-
     return sorted(homogeneous_elements(grading).element_set & units(grading.ring).element_set)
 
 
@@ -804,3 +803,35 @@ def keyed_ideal_lattice(ring, pool, max_gens: Optional[int] = None):
                 seen.add(key)
                 level.append((joined, path + (p,)))
                 yield path + (p,), tuple(int(x) for x in joined)
+
+
+# -- the former homogeneous zero-divisor pool builders, one per caller; the
+# library now reads every pool off grading.component_zero_divisors
+
+
+def former_component_pools(ring, grading) -> list:
+    """(key, nonzero zero divisors of R_key) for each support component, in
+    key order: a homogeneous coefficient set lies in one component, and a
+    unit coefficient makes a polynomial regular."""
+    zd = _zero_divisor_mask(ring)
+    return [
+        (key, {e for e in grading.support[key].elements if zd[e]} - {ring.zero})
+        for key in grading.support_keys
+    ]
+
+
+def former_armendariz_pools(ring, grading) -> list:
+    """The pools the former is_armendariz_g_graded scanned."""
+    zd = zero_divisors(ring).element_set
+    return [(key, sorted(set(grading.support[key].elements) & zd)) for key in grading.support_keys]
+
+
+def former_homogeneous_zero_divisors(grading) -> ElementSet:
+    zd = zero_divisors(grading.ring).element_set
+    return ElementSet(grading.ring, homogeneous_elements(grading).element_set & zd)
+
+
+def former_check_t8_condition(grading) -> bool:
+    """True iff no nonzero homogeneous element is a zero divisor."""
+    hz = former_homogeneous_zero_divisors(grading)
+    return all(e == grading.ring.zero for e in hz.elements)

@@ -1,6 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import emrings.analysis as analysis
+import emrings.grading as grading_module
+from emrings.analysis import is_armendariz_g_graded
 
 from emrings.construct import (
     build_spec,
@@ -22,6 +28,7 @@ from emrings.grading import (
     check_t2_hypotheses,
     check_t8_condition,
     check_t10_condition,
+    component_zero_divisors,
     decompose,
     grading_from_dict,
     homogeneous_elements,
@@ -37,7 +44,7 @@ from emrings.grading import (
     validate_grading,
 )
 from emrings.presets import PRESETS, build_preset
-from emrings.rings import ideal_generated, subring, validate_ring
+from emrings.rings import FiniteRing, idempotents, ideal_generated, subring, validate_ring
 from emrings.theorems import EXTENSION_CAP
 
 import oracles
@@ -56,24 +63,21 @@ def test_trivial_grading_any_ring(z6, e1):
 
 
 def test_invalid_not_a_subgroup(z4):
-    g = Grading(z4, GradingGroup((2,)), {(0,): [0, 1], (1,): [0, 2]})
     with pytest.raises(GradingError) as err:
-        validate_grading(g)
+        Grading(z4, GradingGroup((2,)), {(0,): [0, 1], (1,): [0, 2]})
     assert err.value.clause == "not-a-subgroup"
 
 
 def test_invalid_not_direct_sum(z4):
-    g = Grading(z4, GradingGroup((2,)), {(0,): [0, 2], (1,): [0, 2]})
     with pytest.raises(GradingError) as err:
-        validate_grading(g)
+        Grading(z4, GradingGroup((2,)), {(0,): [0, 2], (1,): [0, 2]})
     assert err.value.clause == "not-direct-sum"
 
 
 def test_invalid_multiplicativity(z6):
     # {0,2,4} + {0,3} decomposes Z6 additively, but 3*3 = 3 lands back in R_1
-    g = Grading(z6, GradingGroup((2,)), {(0,): [0, 2, 4], (1,): [0, 3]})
     with pytest.raises(GradingError) as err:
-        validate_grading(g)
+        Grading(z6, GradingGroup((2,)), {(0,): [0, 2, 4], (1,): [0, 3]})
     assert err.value.clause == "multiplicativity"
 
 
@@ -397,3 +401,135 @@ def test_digit_gradings_match_former_builders_on_generated_rings(data):
     ring = build_spec(doc)
     assert ring.order == order
     _assert_matches_former_builders(ring)
+
+
+# -- every Grading is validated when built
+
+
+def _y_as_one():
+    """e1's tables with Y declared the identity.  On a true ring the other
+    axioms put 1 in R_e, so only such tables reach the identity clause."""
+    e1 = poly_quotient_xn(cyclic(4), 2, var="Y")
+    return FiniteRing(e1.add_table, e1.mul_table, e1.zero, one=4)
+
+
+_CLAUSES = {
+    "not-a-subgroup": (lambda: cyclic(4), {(0,): [0, 1], (1,): [0, 2]}),
+    "not-direct-sum": (lambda: cyclic(4), {(0,): [0, 2], (1,): [0, 2]}),
+    "multiplicativity": (lambda: cyclic(6), {(0,): [0, 2, 4], (1,): [0, 3]}),
+    "identity-component": (_y_as_one, {(0,): [0, 1, 2, 3], (1,): [0, 4, 8, 12]}),
+    "duplicate-degree": (lambda: cyclic(4), {(0,): [0, 1, 2, 3], (2,): [0, 2]}),
+}
+
+
+@pytest.mark.parametrize("clause", list(_CLAUSES))
+def test_grading_and_document_raise_for_each_clause(clause):
+    build, comps = _CLAUSES[clause]
+    ring = build()
+    with pytest.raises(GradingError) as err:
+        Grading(ring, GradingGroup((2,)), comps)
+    assert err.value.clause == clause
+    doc = {
+        "moduli": [2],
+        "components": [{"degree": list(k), "elements": v} for k, v in comps.items()],
+    }
+    with pytest.raises(GradingError) as err:
+        grading_from_dict(ring, doc)
+    assert err.value.clause == clause
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_canonical_grading_validates_each_grading_once(monkeypatch, name):
+    """The constructor validates; nothing validates a built grading again.
+    A product's canonical grading also builds one grading per factor."""
+    ring = build_preset(name)[0]
+    calls = []
+    validate = grading_module.validate_grading
+
+    def counting(grading):
+        calls.append(grading)
+        return validate(grading)
+
+    monkeypatch.setattr(grading_module, "validate_grading", counting)
+    g = canonical_grading(ring)
+    assert [c for c in calls if c is g] == [g]
+    assert len({id(c) for c in calls}) == len(calls) == 1 + len(ring.aux.get("factors", []))
+
+
+# -- every homogeneous zero-divisor pool comes from component_zero_divisors
+
+
+def _assert_pools_match_former_builders(grading):
+    ring = grading.ring
+    pools = component_zero_divisors(grading)
+    assert [ids.tolist() for _, ids in pools] == [sorted(set(ids.tolist())) for _, ids in pools]
+    assert [(k, set(ids.tolist())) for k, ids in pools] == oracles.former_component_pools(
+        ring, grading
+    )
+    scanned = []
+    record = lambda name, ring, pools, degree: scanned.append(pools)
+    with mock.patch.object(analysis, "_armendariz_report", record):
+        is_armendariz_g_graded(ring, grading)
+    assert [(k, [int(e) for e in pool]) for k, pool in scanned[0]] == (
+        oracles.former_armendariz_pools(ring, grading)
+    )
+    assert homogeneous_zero_divisors(grading).elements == (
+        oracles.former_homogeneous_zero_divisors(grading).elements
+    )
+    assert check_t8_condition(grading) == oracles.former_check_t8_condition(grading)
+
+
+def _corner_gradings(ring, grading):
+    """The gradings of the corners t4 localizes at, {1, e}^-1 R for each
+    nonzero homogeneous idempotent e != 1."""
+    return [
+        localization_grading(localization(ring, grading, [ring.one, e]))
+        for e in idempotents(ring).elements
+        if e not in (ring.zero, ring.one) and grading.degree_of(e) is not None
+    ]
+
+
+def _extension_grading(ring, grading):
+    """R[X]/(X^2) with the lifted grading."""
+    ext = poly_quotient_xn(ring, 2, var="X", max_order=EXTENSION_CAP)
+    return [square_zero_extension_grading(ext, grading)]
+
+
+_POOL_CASES = {
+    "trivial Z1": lambda: [trivial_grading(cyclic(1))],
+    **{f"preset {name}": (lambda name=name: [build_preset(name)[1]]) for name in PRESETS},
+    **{
+        f"trivial {name}": (lambda name=name: [trivial_grading(build_preset(name)[0])])
+        for name in PRESETS
+    },
+    **{
+        f"{name}[X]/(X^2)": (lambda name=name: _extension_grading(*build_preset(name)))
+        for name in PRESETS
+        if not name.startswith("e2-trunc")  # orders 216 and 7776: 216^2 > EXTENSION_CAP
+    },
+    **{
+        f"t4 corners of {name}": (lambda name=name: _corner_gradings(*build_preset(name)))
+        for name in PRESETS
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_POOL_CASES))
+def test_component_pools_match_former_builders(name):
+    for grading in _POOL_CASES[name]():
+        _assert_pools_match_former_builders(grading)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_component_pools_match_former_builders_on_generated_rings(data):
+    """Generated construction documents of order at most 64, under their
+    canonical grading (where it exists) and the trivial one."""
+    doc, _ = oracles.construction_document(data.draw, 64)
+    ring = build_spec(doc)
+    _assert_pools_match_former_builders(trivial_grading(ring))
+    try:
+        graded = canonical_grading(ring)
+    except ValueError:
+        return
+    _assert_pools_match_former_builders(graded)

@@ -76,14 +76,14 @@ def test_t1_fails_when_a_pool_drops_an_element(monkeypatch):
     miss a homogeneous zero divisor fail the row."""
     import emrings.theorems as theorems
 
-    pools = theorems._component_pools
+    pools = theorems.component_zero_divisors
 
-    def dropping(ring, grading):
-        out = pools(ring, grading)
-        key, pool = next((k, p) for k, p in out if p)
-        return [(k, p - {max(pool)} if k == key else p) for k, p in out]
+    def dropping(grading):
+        out = pools(grading)
+        key = next(k for k, ids in out if len(ids))
+        return [(k, ids[:-1] if k == key else ids) for k, ids in out]
 
-    monkeypatch.setattr(theorems, "_component_pools", dropping)
+    monkeypatch.setattr(theorems, "component_zero_divisors", dropping)
     rows = _by_name(theorem_suite(preset_corpus(["e1"])))
     assert rows["t1@e1"].witness == {"left": False, "right": True}
 
