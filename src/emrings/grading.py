@@ -437,10 +437,15 @@ def product_grading(ring: FiniteRing, factor_gradings: Sequence[Grading]) -> Gra
     group = (graded or factor_gradings)[0].group
     if any(g.group != group for g in graded):
         raise ValueError("factor gradings must share one group")
-    whole = lambda g: Grading(g.ring, group, {group.identity(): g.ring.elements()})
-    regraded = [g if g.group == group else whole(g) for g in factor_gradings]
-    keys = sorted({k for g in regraded for k in g.support_keys})
-    digits = [[g.component(key).elements for g in regraded] for key in keys]
+    identity = group.identity()
+
+    def digit_set(g, key):  # a factor of another group lies in degree e
+        if g.group == group:
+            return g.component(key).elements
+        return g.ring.elements() if key == identity else (g.ring.zero,)
+
+    keys = sorted({identity, *(k for g in graded for k in g.support_keys)})
+    digits = [[digit_set(g, key) for g in factor_gradings] for key in keys]
     return _digit_grading(ring, group, keys, digits)
 
 

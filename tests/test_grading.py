@@ -456,6 +456,19 @@ def test_canonical_grading_validates_each_grading_once(monkeypatch, name):
     assert len({id(c) for c in calls}) == len(calls) == 1 + len(ring.aux.get("factors", []))
 
 
+def test_regraded_factor_builds_no_grading_of_its_own(monkeypatch, e1):
+    """Z2, graded over the trivial group, joins e1's Z_2-grading as digit
+    sets: the two factor gradings and the product are the only gradings."""
+    ring = direct_product([cyclic(2), e1])
+    calls = []
+    validate = grading_module.validate_grading
+    monkeypatch.setattr(grading_module, "validate_grading",
+                        lambda grading: calls.append(grading) or validate(grading))
+    g = canonical_grading(ring)
+    assert len(calls) == 3 and calls[-1] is g
+    assert g.group.moduli == (2,) and g.support_keys == [(0,), (1,)]
+
+
 # -- every homogeneous zero-divisor pool comes from component_zero_divisors
 
 

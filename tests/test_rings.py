@@ -1,17 +1,21 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import emrings.rings as rings_module
 from emrings.construct import build_spec, cyclic, direct_product, poly_quotient_xn
 from emrings.rings import (
     _TILE,
+    EXHAUSTIVE_AXIOM_LIMIT,
     SAMPLED_TRIPLES,
     ElementSet,
     FiniteRing,
     Ideal,
+    InternalInvariantError,
     RingAxiomError,
     annihilator,
     divisor_solutions,
@@ -25,6 +29,7 @@ from emrings.rings import (
     units,
     validate_ring,
     zero_divisors,
+    _additive_generators,
     _annihilator_sizes,
     _sampled_triples,
     _zero_divisor_mask,
@@ -33,6 +38,7 @@ from emrings.rings import (
 from emrings.grading import homogeneous_elements
 from emrings.presets import PRESETS, build_preset
 
+import oracles
 from oracles import (
     additive_span_closure,
     all_permutation_isomorphism,
@@ -140,6 +146,95 @@ def test_validate_ring_matches_full_table_oracle(name):
     for what, add, mul in _table_mutations(ring):
         got = _axiom_outcome(validate_ring, add, mul, ring)
         assert got == _axiom_outcome(validate_ring_full, add, mul, ring), (name, what)
+
+
+# every preset whose O(N^3) laws are decided exhaustively
+_EXHAUSTIVE_PRESETS = [p for p in PRESETS if p != "e2-trunc-d2"]
+
+
+def _random_mutations(ring, seed, count):
+    """(name, add, mul) copies of the ring's tables, each with one seeded
+    random change that keeps the table symmetric: a single entry and its
+    mirror, or a block of random entries on disjoint rows and columns and
+    its transpose.  Rows and columns of zero and one are left alone where
+    others exist, so most tables pass the O(N^2) axioms."""
+    rng = np.random.default_rng(seed)
+    n = ring.order
+    ids = np.setdiff1d(np.arange(n), [ring.zero, ring.one]) if n > 2 else np.arange(n)
+    for k in range(count):
+        tname = ("add", "mul")[k % 2]
+        t = getattr(ring, f"{tname}_table").copy()
+        if k % 4 < 2 or len(ids) < 4:
+            i, j = (int(x) for x in rng.choice(ids, size=2))
+            t[i, j] = t[j, i] = (int(t[i, j]) + int(rng.integers(1, n))) % n
+            what = f"{tname} entry ({i}, {j})"
+        else:
+            side = int(rng.integers(2, min(8, len(ids) // 2) + 1))
+            perm = rng.permutation(ids)
+            rows, cols = perm[:side], perm[side : 2 * side]
+            t[np.ix_(rows, cols)] = rng.integers(0, n, size=(side, side))
+            t[np.ix_(cols, rows)] = t[np.ix_(rows, cols)].T
+            what = f"{tname} {side}x{side} block"
+        yield what, *((t, ring.mul_table) if tname == "add" else (ring.add_table, t))
+
+
+@pytest.mark.parametrize("name", _EXHAUSTIVE_PRESETS)
+def test_validate_ring_matches_full_oracle_on_random_mutations(name):
+    """The generator check plus the ordered witness search report what the
+    whole-table oracle reports, axiom and witness, on tables that break the
+    O(N^3) laws in many places."""
+    ring = build_preset(name)[0]
+    assert ring.order <= EXHAUSTIVE_AXIOM_LIMIT
+    count = 48 if ring.order <= 64 else 16
+    for what, add, mul in _random_mutations(ring, ring.order, count):
+        got = _axiom_outcome(validate_ring, add, mul, ring)
+        assert got == _axiom_outcome(validate_ring_full, add, mul, ring), (name, what)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_validate_ring_matches_full_oracle_on_generated_rings(data):
+    """Generated construction documents of order at most 600, each with one
+    symmetric entry changed."""
+    doc, order = oracles.construction_document(data.draw, EXHAUSTIVE_AXIOM_LIMIT)
+    ring = build_spec(doc)
+    assert _axiom_outcome(validate_ring, ring.add_table, ring.mul_table, ring) is None
+    tname = data.draw(st.sampled_from(["add", "mul"]))
+    i, j, v = (data.draw(st.integers(0, order - 1)) for _ in range(3))
+    t = getattr(ring, f"{tname}_table").copy()
+    t[i, j] = t[j, i] = v
+    add, mul = (t, ring.mul_table) if tname == "add" else (ring.add_table, t)
+    assert _axiom_outcome(validate_ring, add, mul, ring) == _axiom_outcome(
+        validate_ring_full, add, mul, ring)
+
+
+@pytest.mark.parametrize("name", _EXHAUSTIVE_PRESETS)
+def test_additive_generators_reach_every_id_by_left_normed_sums(name):
+    ring = build_preset(name)[0]
+    gens = _additive_generators(ring)
+    sums, grown = {ring.zero}, True
+    while grown:
+        more = sums | {ring.add(x, a) for x in sums for a in gens}
+        sums, grown = more, more != sums
+    assert sums == set(range(ring.order))
+    assert len(gens) <= math.log2(ring.order) + 1
+
+
+def test_valid_tables_never_reach_the_ordered_check(monkeypatch):
+    def ordered_check(ring):
+        raise AssertionError(f"ordered check reached on {ring!r}")
+
+    monkeypatch.setattr(rings_module, "_raise_first_cubic_violation", ordered_check)
+    for name in _EXHAUSTIVE_PRESETS:
+        ring = build_preset(name)[0]
+        copy = FiniteRing(ring.add_table, ring.mul_table, ring.zero, ring.one)
+        assert validate_ring(copy) is copy
+
+
+def test_generator_check_disagreeing_with_ordered_check_is_internal(monkeypatch, z4):
+    monkeypatch.setattr(rings_module, "_laws_hold", lambda ring, gens: False)
+    with pytest.raises(InternalInvariantError):
+        validate_ring(FiniteRing(z4.add_table, z4.mul_table, z4.zero, z4.one))
 
 
 @pytest.mark.parametrize("n", [601, 1296, 7776])
