@@ -71,15 +71,49 @@ def _weights(radices: Sequence[int]) -> list[int]:
 # Scratch bound of one row block in _digit_tables, in bytes per array.
 _BLOCK_BYTES = 1 << 20
 
+# Scratch bound of one _gather chunk (flat index and gathered values), in bytes.
+_GATHER_BYTES = _BLOCK_BYTES // 2
+_INTP_BYTES = np.dtype(np.intp).itemsize
+
 # Shortest contiguous run, in elements, over which _digit_tables adds a term.
 _RUN = 256
 
 
 def _gather(table: np.ndarray, x, y) -> np.ndarray:
-    """``table[x, y]`` for broadcast index arrays, as one gather from the
-    raveled table.  The flat index ``x * r + y`` is formed in intp: in the
-    table's uint16 it would wrap once r^2 > 65535."""
-    return table.ravel().take(np.multiply(x, table.shape[1], dtype=np.intp) + y)
+    """``table[x, y]`` for broadcast index arrays, gathered from the raveled
+    table in row chunks.  The flat index ``x * r + y`` is formed in intp (in
+    the table's uint16 it would wrap once r^2 > 65535), one chunk at a time,
+    and a chunk's index and gathered values hold at most ``_GATHER_BYTES``
+    together."""
+    flat, width = table.ravel(), table.shape[1]
+    chunk = max(1, _GATHER_BYTES // (_INTP_BYTES + table.itemsize))
+    # |x| * |y| bounds the broadcast size and is cheaper to take
+    both = None if getattr(x, "size", 1) * getattr(y, "size", 1) <= chunk else np.broadcast(x, y)
+    if both is None or both.size <= chunk:
+        return flat.take(np.multiply(x, width, dtype=np.intp) + y)
+    # fix leading axes until the rest fits in a chunk, then step along the
+    # last one fixed
+    shape, axis, inner = both.shape, 0, both.size
+    while inner > chunk:
+        inner //= shape[axis]
+        axis += 1
+    step = max(1, chunk // inner)
+    x, y = (np.reshape(v, (1,) * (len(shape) - np.ndim(v)) + np.shape(v)) for v in (x, y))
+    out = np.empty(shape, dtype=table.dtype)
+    for lead in np.ndindex(*shape[: axis - 1]):
+        for start in range(0, shape[axis - 1], step):
+            sl = (*(slice(i, i + 1) for i in lead), slice(start, start + step))
+            part = out[sl]
+            # each operand is sliced on the axes it spans, so a small one
+            # stays small
+            xs, ys = (v[tuple(s if n > 1 else slice(None) for s, n in zip(sl, v.shape))]
+                      for v in (x, y))
+            idx = np.multiply(xs, width, dtype=np.intp)
+            idx = np.add(idx, ys, out=idx if idx.size == part.size else None)
+            # digits lie below their radix, so no index is out of range and
+            # "clip" only lets take write into part without a buffer
+            flat.take(idx, out=part, mode="clip")
+    return out
 
 
 def _digit_tables(
@@ -99,9 +133,10 @@ def _digit_tables(
 
     Rows go in blocks that fix the fewest leading (most significant) row
     digits for which one block of the table holds at most ``_BLOCK_BYTES``
-    (1 MiB).  Every digit array of a block is at most block-sized, and each
-    flat gather index (intp) at most four times that; a handful are alive at
-    once, and nothing of size order^2 is allocated apart from the two tables.
+    (1 MiB).  Every digit array of a block is at most block-sized, and
+    ``_gather`` forms its flat intp index in chunks of at most
+    ``_GATHER_BYTES`` (512 KiB); a handful are alive at once, and nothing of
+    size order^2 is allocated apart from the two tables.
 
     Each scaled term is written into one block-sized scratch buffer, spread
     over the fewest least significant column digits that hold ``_RUN``

@@ -81,9 +81,29 @@ def _term(label: str, i: int, var: str) -> str:
     return power if label == "1" else f"{label}*{power}"
 
 
-def poly_str(f: Polynomial, var: str = "x") -> str:
+# Names for the indeterminate of a printed polynomial, in order of preference.
+_VARIABLES = ("x", "t", "s", "z")
+
+
+def poly_var(ring: FiniteRing) -> str:
+    """The indeterminate's name over ``ring``: the first of x, t, s, z that
+    no element label contains (x if every one is taken), worked out once per
+    ring."""
+    var = ring._cache.get("poly_var")
+    if var is None:
+        text = "\n".join(ring.labels or ())
+        var = next((v for v in _VARIABLES if v not in text), _VARIABLES[0])
+        ring._cache["poly_var"] = var
+    return var
+
+
+def poly_str(f: Polynomial, var: Optional[str] = None) -> str:
+    """``f`` as a sum of terms over its indeterminate, named by default by
+    :func:`poly_var`."""
     if f.is_zero:
         return "0"
+    if var is None:
+        var = poly_var(f.ring)
     terms = [
         _term(f.ring.label(c), i, var)
         for i, c in enumerate(f.coeffs)

@@ -835,3 +835,14 @@ def former_check_t8_condition(grading) -> bool:
     """True iff no nonzero homogeneous element is a zero divisor."""
     hz = former_homogeneous_zero_divisors(grading)
     return all(e == grading.ring.zero for e in hz.elements)
+
+
+# -- the former whole-block table gather; construct._gather now gathers in
+# row chunks
+
+
+def former_gather(table: np.ndarray, x, y) -> np.ndarray:
+    """``table[x, y]`` for broadcast index arrays, as one gather from the
+    raveled table.  The flat index ``x * r + y`` is formed in intp: in the
+    table's uint16 it would wrap once r^2 > 65535."""
+    return table.ravel().take(np.multiply(x, table.shape[1], dtype=np.intp) + y)

@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import emrings.analysis as analysis
 from emrings.analysis import (
     ContentWitness,
     PropertyReport,
@@ -51,6 +53,7 @@ from emrings.poly import bivariate, content_ideal, kronecker_flatten, poly_mul, 
 from emrings.presets import PRESETS, build_preset, preset_names
 from emrings.rings import (
     FiniteRing,
+    InternalInvariantError,
     _generator_min,
     annihilator,
     ideal_generated,
@@ -429,6 +432,129 @@ def test_armendariz_ungraded_matches_loop_oracle(monkeypatch, e1):
     # on the graded path
     assert cases[0]().verdict == "false"
     assert verdicts == {"false", "true_up_to_bounds"}
+
+
+# -- Armendariz on the graded factors eR
+
+
+def _outcome(decide):
+    """``decide()``'s report, or the message of the ValueError it raised."""
+    try:
+        return decide().to_dict(timing=False)
+    except ValueError as err:
+        return f"refused: {err}"
+
+
+def _assert_matches_whole_ring(*decides) -> list:
+    """Each decider's report equals its report with the split turned off,
+    that is from the whole-ring scan; returns the reports."""
+    reports = [_outcome(decide) for decide in decides]
+    with mock.patch.object(analysis, "_factor_gradings", lambda ring, grading: []):
+        assert reports == [_outcome(decide) for decide in decides]
+    return reports
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_armendariz_factors_match_whole_ring_on_presets(name):
+    """At t3's degree.  Ungraded, z4-xn-3 (local, so one path either way:
+    6.7 s a scan) and prod-e1sm (40 s for the whole-ring scan) run at
+    degree 2."""
+    ring, grading = build_preset(name)
+    degree = 3 if ring.order <= 300 else 2
+    ungraded = 2 if name in ("z4-xn-3", "prod-e1sm") else degree
+    if name == "z4-xn-3":
+        assert analysis._factor_gradings(ring, None) == []
+    _assert_matches_whole_ring(
+        functools.partial(is_armendariz_g_graded, ring, grading, degree),
+        functools.partial(is_armendariz, ring, ungraded),
+    )
+
+
+_E1 = lambda: poly_quotient_xn(cyclic(4), 2, var="Y")
+
+_SPLIT_RINGS = {
+    "Z2 x e1": lambda: direct_product([cyclic(2), _E1()]),
+    "e1 x Z3": lambda: direct_product([_E1(), cyclic(3)]),
+    "Z4 x Z2[Y]/(Y^2)": lambda: direct_product(
+        [cyclic(4), poly_quotient_xn(cyclic(2), 2, var="Y")]
+    ),
+    "Z6[Y]/(Y^2)": lambda: poly_quotient_xn(cyclic(6), 2, var="Y"),
+    "Z10": lambda: cyclic(10),
+    "Z12": lambda: cyclic(12),
+    "Z2 x Z2 x Z4": lambda: direct_product([cyclic(2), cyclic(2), cyclic(4)]),
+}
+
+
+def test_armendariz_factors_match_whole_ring_on_split_rings():
+    """The graded decider under the canonical and trivial gradings at
+    degrees 1 and 2: 28 reports, 4 of them false (the trivial gradings of
+    Z2 x e1 and e1 x Z3, whose factor e1 is not Armendariz).  The ungraded
+    decider at degree 1: at degree 2 it repeats the trivial grading's scan,
+    15 s on Z6[Y]/(Y^2)."""
+    graded = []
+    for name, build in _SPLIT_RINGS.items():
+        ring = build()
+        _assert_matches_whole_ring(functools.partial(is_armendariz, ring, 1))
+        for grading in (canonical_grading(ring), trivial_grading(ring)):
+            assert len(analysis._factor_gradings(ring, grading)) >= 2, name
+            for degree in (1, 2):
+                [report] = _assert_matches_whole_ring(
+                    functools.partial(is_armendariz_g_graded, ring, grading, degree)
+                )
+                graded.append((name, report["verdict"]))
+    assert len(graded) == 28
+    assert sorted(name for name, verdict in graded if verdict == "false") == [
+        "Z2 x e1", "Z2 x e1", "e1 x Z3", "e1 x Z3"
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_armendariz_factors_match_whole_ring_on_generated_rings(data):
+    """Products of two generated construction documents, of order at most
+    64, under their canonical grading (where it exists) and the trivial
+    one, at degree 2 up to order 16 and 1 above."""
+    first, a = oracles.construction_document(data.draw, 16)
+    second, b = oracles.construction_document(data.draw, 64 // a)
+    order = a * b
+    ring = build_spec({"kind": "product", "factors": [first, second]})
+    degree = 2 if order <= 16 else 1
+    try:
+        gradings = [canonical_grading(ring)]
+    except ValueError:
+        gradings = []
+    _assert_matches_whole_ring(
+        functools.partial(is_armendariz, ring, degree),
+        *(functools.partial(is_armendariz_g_graded, ring, grading, degree)
+          for grading in [*gradings, trivial_grading(ring)]),
+    )
+
+
+def test_armendariz_true_on_prod_e1sm_scans_only_the_factors(monkeypatch):
+    """Neither decider builds a tuple block over R's own pools, or scans R,
+    to reach true on prod-e1sm at degree 3."""
+    ring, grading = build_preset("prod-e1sm")
+    scanned, built = [], []
+    scan, block = analysis._armendariz_scan, analysis._tuple_block
+    monkeypatch.setattr(analysis, "_armendariz_scan",
+                        lambda r, blocks, d: scanned.append(r) or scan(r, blocks, d))
+    monkeypatch.setattr(analysis, "_tuple_block",
+                        lambda pool, length: built.append(len(pool)) or block(pool, length))
+    assert is_armendariz_g_graded(ring, grading, 3).verdict == "true_up_to_bounds"
+    assert is_armendariz(ring, 3).verdict == "true_up_to_bounds"
+    assert len(scanned) == 4 and all(r is not ring and r.order == 4 for r in scanned)
+    own = [len(pool) for _, pool in analysis._armendariz_pools(grading)]
+    assert max(built) < min([*own, len(zero_divisors(ring))])
+
+
+def test_a_factor_failure_the_whole_ring_misses_is_an_internal_error(monkeypatch):
+    """A factor that fails while R's own scan passes contradicts the split."""
+    ring, grading = build_preset("z6")
+    scan = analysis._armendariz_scan
+    monkeypatch.setattr(analysis, "_armendariz_scan",
+                        lambda r, blocks, d: {"f": []} if r is not ring else scan(r, blocks, d))
+    with pytest.raises(InternalInvariantError):
+        is_armendariz_g_graded(ring, grading, 1)
 
 
 def test_bezout_examples(z6, e1, e1_grading):

@@ -70,6 +70,27 @@ def test_oversized_armendariz_degree_is_refused(capsys):
     assert "error:" in err and str(8**9) in err
 
 
+def test_ungraded_armendariz_on_a_split_preset_at_the_default_degree(capsys):
+    # prod-e1sm splits into two order-4 factors, each scanned at degree 3
+    code, out, _ = run(capsys, "check", "--ring", "prod-e1sm", "--property", "armendariz",
+                       "--format", "json", "--no-timing")
+    assert code == 0
+    assert json.loads(out) == {
+        "bounds": {"max_degree": 3}, "millis": None, "property": "armendariz",
+        "verdict": "true_up_to_bounds", "witness": None,
+    }
+
+
+def test_tuple_cap_is_taken_on_the_whole_ring_pool(capsys):
+    # e2-trunc-d2 splits, but its own 5184 zero divisors decide the cap
+    code, _, err = run(capsys, "check", "--ring", "e2-trunc-d2", "--property", "armendariz")
+    assert code == 1
+    assert err == (
+        "error: Armendariz scan over 5184 coefficients at degree 3 needs "
+        f"{5184**4} tuples, above the cap of {1 << 20}\n"
+    )
+
+
 def test_find_content_witness(capsys):
     code, out, _ = run(capsys, "find-content", "--ring", "z4", "--poly", "[2,2]",
                        "--format", "json", "--no-timing")

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import emrings.construct as construct
 from emrings.construct import (
+    _gather,
     _vector_ring,
     OrderCapError,
     build_spec,
@@ -38,6 +40,7 @@ from emrings.rings import (
 
 from oracles import (
     all_permutation_isomorphism,
+    former_gather,
     homogeneous_units,
     localization_classes,
     localization_grading_pairs,
@@ -513,3 +516,69 @@ def test_table_build_scratch_stays_small():
         assert ring.order >= 4096, name
         assert peak - tables <= 8 << 20, name
         del ring
+
+
+# -- row-chunked gathers
+
+
+def test_gather_scratch_stays_within_its_bound():
+    """R[X]/(X^2) over z4-xn-3 (order 4096) builds two 32 MiB tables; its
+    widest gathers cover a whole 512 KiB row block, whose intp index alone
+    took 2 MiB when formed at once."""
+    base, _ = build_preset("z4-xn-3")
+    tracemalloc.start()
+    try:
+        ring = poly_quotient_xn(base, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = ring.add_table.nbytes + ring.mul_table.nbytes
+    assert tables == 64 << 20
+    assert peak - tables <= 2 << 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_chunked_gather_matches_former_gather(data):
+    """Random broadcast index arrays (or plain ints) under chunk bounds from
+    one element up: the chunks tile the broadcast shape exactly."""
+    r = data.draw(st.integers(1, 7), label="r")
+    table = np.arange(r * r, dtype=np.uint16).reshape(r, r)[::-1].copy()
+    ndim = data.draw(st.integers(1, 4), label="ndim")
+    shape = data.draw(st.lists(st.integers(1, 5), min_size=ndim, max_size=ndim), label="shape")
+
+    def operand(label):
+        if data.draw(st.booleans(), label=f"{label} is an int"):
+            return data.draw(st.integers(0, r - 1), label=label)
+        dims = [n if data.draw(st.booleans(), label=f"{label} axis {k}") else 1
+                for k, n in enumerate(shape)]
+        dims = dims[data.draw(st.integers(0, ndim), label=f"{label} dropped axes"):]
+        seed = data.draw(st.integers(0, 2**16), label=f"{label} seed")
+        return np.random.default_rng(seed).integers(0, r, dims).astype(np.uint16)
+
+    x, y = operand("x"), operand("y")
+    bound = data.draw(st.integers(1, 200), label="bound")
+    saved = construct._GATHER_BYTES
+    construct._GATHER_BYTES = bound
+    try:
+        got = _gather(table, x, y)
+    finally:
+        construct._GATHER_BYTES = saved
+    want = former_gather(table, x, y)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", list(_CONSTRUCTIONS))
+def test_chunked_tables_match_former_gather(name, monkeypatch):
+    """Every table of the rowwise-oracle corpus, built with gathers of at
+    most 1 KiB a chunk, is byte for byte the former whole-block build."""
+    build = _CONSTRUCTIONS[name]
+    if name.startswith("preset "):  # build_preset caches its ring
+        spec = PRESETS[name.removeprefix("preset ")].spec
+        build = lambda: build_spec(spec)
+    with monkeypatch.context() as m:
+        m.setattr(construct, "_gather", former_gather)
+        former = build()
+    monkeypatch.setattr(construct, "_GATHER_BYTES", 1024)
+    ring = build()
+    _assert_tables_equal((former.add_table, former.mul_table), (ring.add_table, ring.mul_table))

@@ -480,7 +480,7 @@ def _assert_pools_match_former_builders(grading):
         ring, grading
     )
     scanned = []
-    record = lambda name, ring, pools, degree: scanned.append(pools)
+    record = lambda name, ring, pools, degree, grading: scanned.append(pools)
     with mock.patch.object(analysis, "_armendariz_report", record):
         is_armendariz_g_graded(ring, grading)
     assert [(k, [int(e) for e in pool]) for k, pool in scanned[0]] == (

@@ -3,7 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emrings.construct import cyclic
+from emrings.analysis import find_annihilating_content
+from emrings.construct import build_spec, cyclic, direct_product, monomial_quotient
 from emrings.poly import (
     ANY_DEGREE,
     bivariate,
@@ -18,6 +19,7 @@ from emrings.poly import (
     poly_mul,
     poly_scale,
     poly_str,
+    poly_var,
     polynomial,
 )
 from emrings.presets import build_preset
@@ -214,3 +216,25 @@ def test_poly_str(e1):
     assert poly_str(polynomial(e1, [2, 4])) == "2 + Y*x"
     assert poly_str(polynomial(e1, [])) == "0"
     assert poly_str(polynomial(e1, [6, 0, 1])) == "(2 + Y) + x^2"
+
+
+def test_poly_str_names_the_variable_apart_from_the_labels():
+    z4_xn_3, _ = build_preset("z4-xn-3")
+    assert poly_str(polynomial(z4_xn_3, [4, 2])) == "x + 2*t"
+    assert poly_str(polynomial(z4_xn_3, [4, 2]), var="x") == "x + 2*x"
+    # labels x, y, ...: t
+    assert poly_var(build_preset("e2-trunc-d1")[0]) == "t"
+    # labels with x and t (the second variable is named t): s
+    xt = monomial_quotient(2, 2, [], 1, varnames=["x", "t"])
+    assert poly_var(xt) == "s"
+    assert poly_var(direct_product([xt, monomial_quotient(2, 1, [], 1, varnames=["s"])])) == "z"
+    # every name taken: x
+    assert poly_var(monomial_quotient(2, 4, [], 1, varnames=["x", "t", "s", "z"])) == "x"
+    assert poly_var(build_preset("e1")[0]) == "x"
+
+
+def test_content_search_leaves_the_variable_name_unset():
+    ring = build_spec({"kind": "polyQuotientXn", "base": {"kind": "cyclic", "n": 4}, "n": 3})
+    assert find_annihilating_content(polynomial(ring, [4, 8])) is not None
+    assert "poly_var" not in ring._cache
+    assert poly_var(ring) == "t" and ring._cache["poly_var"] == "t"
