@@ -36,6 +36,7 @@ from .poly import (
     BivariatePolynomial,
     Polynomial,
     biv_scale,
+    bivariate,
     is_zero_divisor_poly,
     kronecker_flatten,
     kronecker_unflatten,
@@ -616,8 +617,7 @@ def verify_t5(
 
 def ideal_grid(ring: FiniteRing, generators: Sequence[int]) -> BivariatePolynomial:
     """The generators laid out two per row, one row per power of y."""
-    rows = [generators[i : i + 2] for i in range(0, len(generators), 2)]
-    return BivariatePolynomial(ring, tuple(Polynomial(ring, tuple(r)) for r in rows))
+    return bivariate(ring, [generators[i : i + 2] for i in range(0, len(generators), 2)])
 
 
 def check_bivariate_content(f: BivariatePolynomial) -> Optional[dict]:

@@ -33,7 +33,7 @@ from .grading import (
     grading_for_spec,
     is_crossed_product,
 )
-from .poly import Polynomial, poly_str
+from .poly import Polynomial, poly_str, poly_var
 from .presets import PRESETS, build_preset, preset_corpus, preset_names
 from .rings import (
     FiniteRing,
@@ -113,7 +113,9 @@ def _normalize_label(text: str) -> str:
 
 
 def parse_poly_literal(ring: FiniteRing, text: str) -> Polynomial:
-    """Coefficient list '[c0,c1,...]' or a label expression like '2+Y*x'.
+    """Coefficient list '[c0,c1,...]' or a label expression like '2+Y*x',
+    written in the variable that :func:`~emrings.poly.poly_str` prints over
+    ``ring`` (``poly_var``: x, or t over z4-xn-3, whose labels use x).
 
     Compound coefficient labels containing '+' only parse as a whole-string
     constant; use the list syntax for them inside larger expressions.
@@ -130,6 +132,7 @@ def parse_poly_literal(ring: FiniteRing, text: str) -> Polynomial:
     flat = _normalize_label(text)
     if flat in by_label:
         return Polynomial(ring, (by_label[flat],))
+    var = poly_var(ring)
     coeffs: dict[int, int] = {}
     for term in flat.split("+"):
         if not term:
@@ -137,9 +140,9 @@ def parse_poly_literal(ring: FiniteRing, text: str) -> Polynomial:
         label, power = term, 0
         if "*" in term:
             label, xpart = term.split("*", 1)
-            power = _parse_power(xpart, text)
-        elif term == "x" or term.startswith("x^"):
-            label, power = "1", _parse_power(term, text)
+            power = _parse_power(xpart, var, text)
+        elif term == var or term.startswith(var + "^"):
+            label, power = "1", _parse_power(term, var, text)
         if label not in by_label:
             raise UsageError(f"unknown element label {label!r} in {text!r}")
         cid = by_label[label]
@@ -150,11 +153,12 @@ def parse_poly_literal(ring: FiniteRing, text: str) -> Polynomial:
     return Polynomial(ring, tuple(out))
 
 
-def _parse_power(xpart: str, text: str) -> int:
-    if xpart == "x":
+def _parse_power(xpart: str, var: str, text: str) -> int:
+    exponent = xpart[len(var) + 1 :]
+    if xpart == var:
         return 1
-    if xpart.startswith("x^") and xpart[2:].isdigit():
-        return int(xpart[2:])
+    if xpart.startswith(var + "^") and exponent.isdigit():
+        return int(exponent)
     raise UsageError(f"bad power {xpart!r} in polynomial literal {text!r}")
 
 

@@ -522,13 +522,6 @@ def product_project(ring: FiniteRing, i: int, elem):
     return elem // _weights(radices)[i] % radices[i]
 
 
-def product_embed(ring: FiniteRing, i: int, elem: int) -> int:
-    """Injection of a factor element into the product (zeros elsewhere)."""
-    digits = [[f.zero] for f in ring.aux["factors"]]
-    digits[i] = [elem]
-    return int(digit_ids(ring, digits)[0])
-
-
 # -- localization -----------------------------------------------------------------
 
 

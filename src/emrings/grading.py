@@ -266,16 +266,6 @@ def component_zero_divisors(grading: Grading) -> list[tuple[DegreeKey, np.ndarra
     return pools
 
 
-def homogeneous_zero_divisors(grading: Grading) -> ElementSet:
-    """0 (a zero divisor of every nonzero ring) and each component's nonzero
-    zero divisors."""
-    ring = grading.ring
-    ids = [ring.zero] if ring.order > 1 else []
-    for _, pool in component_zero_divisors(grading):
-        ids.extend(pool.tolist())
-    return ElementSet(ring, ids)
-
-
 def is_graded_ideal(grading: Grading, ideal: Ideal) -> bool:
     """True iff every member's homogeneous components lie in the ideal."""
     ids = np.fromiter(ideal.elements, dtype=np.int64)
@@ -314,40 +304,6 @@ def is_crossed_product(grading: Grading) -> tuple[bool, dict[DegreeKey, Optional
             )
         witnesses[key] = int(chosen)
     return ok, witnesses
-
-
-def transport_grading(grading: Grading, auto: "Automorphism") -> Grading:
-    """Push the grading forward through a ring automorphism."""
-    perm = np.fromiter(auto.perm, dtype=np.int64)
-    comps = {
-        k: [int(perm[e]) for e in es.elements] for k, es in grading.support.items()
-    }
-    return Grading(grading.ring, grading.group, comps)
-
-
-@dataclass(frozen=True)
-class Automorphism:
-    """A ring automorphism as a permutation of element ids, checked when built."""
-
-    ring: FiniteRing
-    perm: tuple[int, ...]
-
-    def __post_init__(self):
-        validate_automorphism(self)
-
-
-def validate_automorphism(auto: Automorphism) -> Automorphism:
-    ring = auto.ring
-    perm = np.fromiter(auto.perm, dtype=np.int64)
-    if len(perm) != ring.order or len(np.unique(perm)) != ring.order:
-        raise ValueError("automorphism is not a permutation of the elements")
-    if perm[ring.zero] != ring.zero or perm[ring.one] != ring.one:
-        raise ValueError("automorphism must fix 0 and 1")
-    if not np.array_equal(perm[ring.add_table], ring.add_table[perm[:, None], perm[None, :]]):
-        raise ValueError("automorphism does not preserve addition")
-    if not np.array_equal(perm[ring.mul_table], ring.mul_table[perm[:, None], perm[None, :]]):
-        raise ValueError("automorphism does not preserve multiplication")
-    return auto
 
 
 # -- hypothesis checks used by the theorem catalog -------------------------------

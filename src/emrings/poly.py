@@ -14,23 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grading import Grading, is_graded_ideal
-from .rings import (
-    FiniteRing,
-    Ideal,
-    annihilator_mask,
-    divisor_solutions,
-    ideal_generated,
-)
-
-
-class _AnyDegree:
-    """Degree marker for the zero polynomial (homogeneous of every degree)."""
-
-    def __repr__(self):
-        return "ANY_DEGREE"
-
-
-ANY_DEGREE = _AnyDegree()
+from .rings import FiniteRing, Ideal, annihilator_mask, ideal_generated
 
 
 @dataclass(frozen=True)
@@ -81,8 +65,17 @@ def _term(label: str, i: int, var: str) -> str:
     return power if label == "1" else f"{label}*{power}"
 
 
-# Names for the indeterminate of a printed polynomial, in order of preference.
+# Names for the indeterminate of a printed polynomial, and for the outer one
+# of a printed bivariate polynomial, in order of preference.  The two lists
+# share no name, so the outer variable always differs from the inner one.
 _VARIABLES = ("x", "t", "s", "z")
+_OUTER_VARIABLES = ("y", "u", "v", "w")
+
+
+def _free_variable(ring: FiniteRing, names: Sequence[str]) -> str:
+    """The first of ``names`` that no element label contains, else the first."""
+    text = "\n".join(ring.labels or ())
+    return next((v for v in names if v not in text), names[0])
 
 
 def poly_var(ring: FiniteRing) -> str:
@@ -91,9 +84,7 @@ def poly_var(ring: FiniteRing) -> str:
     ring."""
     var = ring._cache.get("poly_var")
     if var is None:
-        text = "\n".join(ring.labels or ())
-        var = next((v for v in _VARIABLES if v not in text), _VARIABLES[0])
-        ring._cache["poly_var"] = var
+        var = ring._cache["poly_var"] = _free_variable(ring, _VARIABLES)
     return var
 
 
@@ -115,16 +106,6 @@ def poly_str(f: Polynomial, var: Optional[str] = None) -> str:
 def _same_ring(f: Polynomial, g: Polynomial) -> None:
     if f.ring is not g.ring:
         raise ValueError("polynomials live over different rings")
-
-
-def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:
-    _same_ring(f, g)
-    ring = f.ring
-    out = [
-        ring.add(f.coefficient(i), g.coefficient(i))
-        for i in range(max(len(f.coeffs), len(g.coeffs)))
-    ]
-    return Polynomial(ring, tuple(out))
 
 
 def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -168,48 +149,8 @@ def is_zero_divisor_poly(f: Polynomial) -> tuple[bool, Optional[int]]:
     return False, None
 
 
-def is_homogeneous(grading: Grading, f: Polynomial):
-    """Degree key if every nonzero coefficient sits in one component, the
-    ANY_DEGREE marker for the zero polynomial, None otherwise."""
-    if f.is_zero:
-        return ANY_DEGREE
-    degrees = {
-        grading.degree_of(c) for c in f.coeffs if c != f.ring.zero
-    }
-    if len(degrees) == 1:
-        deg = degrees.pop()
-        return deg  # None here means some coefficient was not homogeneous
-    return None
-
-
 def content_is_graded(grading: Grading, f: Polynomial) -> bool:
     return is_graded_ideal(grading, content_ideal(f))
-
-
-def factor_by_content_generator(f: Polynomial, a: int) -> Optional[Polynomial]:
-    """Given C(f) = <a>, find g with f = a*g and C(g) = R.
-
-    Takes the smallest quotient of each coefficient, with all of Ann(a)
-    appended as higher-degree coefficients (the content search's tail).  By
-    the README's ideal reduction (c), every choice of quotients generates
-    (C(f) : a) together with Ann(a), so the first choice works iff any does.
-    Returns None only if it fails, which signals an internal error since a
-    valid g always exists when C(f) = <a>.
-    """
-    ring = f.ring
-    if f.is_zero:
-        raise ValueError("f must be nonzero")
-    if content_ideal(f).elements != ideal_generated(ring, [a]).elements:
-        raise ValueError("precondition C(f) = <a> does not hold")
-    sols = [divisor_solutions(ring, a, c).elements for c in f.coeffs]
-    if not all(sols):
-        raise ValueError("some coefficient is not divisible by a")
-    ann = annihilator_mask(ring, [a])
-    tail = [int(t) for t in np.nonzero(ann)[0] if t != ring.zero]
-    first = tuple(s[0] for s in sols)
-    if ideal_generated(ring, set(first) | set(tail)).elements == tuple(range(ring.order)):
-        return Polynomial(ring, first + tuple(tail))
-    return None
 
 
 # -- bivariate polynomials -----------------------------------------------------
@@ -229,10 +170,6 @@ class BivariatePolynomial:
         object.__setattr__(self, "rows", tuple(rs))
 
     @property
-    def y_degree(self) -> int:
-        return len(self.rows) - 1
-
-    @property
     def is_zero(self) -> bool:
         return not self.rows
 
@@ -243,8 +180,12 @@ class BivariatePolynomial:
         return tuple(sorted(ids))
 
     def __str__(self) -> str:
+        """Rows over :func:`poly_var`, times powers of the first of y, u, v,
+        w that no element label contains, written like :func:`poly_str`'s
+        terms; a row of two or more terms is parenthesized."""
         if self.is_zero:
             return "0"
+        y = _free_variable(self.ring, _OUTER_VARIABLES)
         parts = []
         for i, row in enumerate(self.rows):
             if row.is_zero:
@@ -252,9 +193,11 @@ class BivariatePolynomial:
             body = poly_str(row)
             if i == 0:
                 parts.append(body)
-            else:
-                y = "y" if i == 1 else f"y^{i}"
-                parts.append(f"({body})*{y}")
+                continue
+            if sum(c != self.ring.zero for c in row.coeffs) > 1:
+                body = f"({body})"
+            power = y if i == 1 else f"{y}^{i}"
+            parts.append(power if body == "1" else f"{body}*{power}")
         return " + ".join(parts)
 
 

@@ -7,7 +7,7 @@ are cached per process; every preset passes ring and grading validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .construct import DEFAULT_MAX_ORDER, build_spec

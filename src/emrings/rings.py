@@ -89,14 +89,6 @@ class FiniteRing:
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[a, b])
 
-    @property
-    def neg_table(self) -> np.ndarray:
-        neg = self._cache.get("neg")
-        if neg is None:
-            rows = _by_rows(self.add_table, lambda b: (b == self.zero).argmax(axis=1))
-            neg = self._cache["neg"] = rows.astype(self.add_table.dtype)
-        return neg
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -555,7 +547,7 @@ def ideal_lattice(
                 yield Ideal(ring, joined, generators=path + (p,))
 
 
-# -- subrings and isomorphisms ------------------------------------------------
+# -- subrings -----------------------------------------------------------------
 
 
 def subring(ring: FiniteRing, elems: Iterable[int]) -> tuple[FiniteRing, list[int]]:
@@ -588,92 +580,3 @@ def subring(ring: FiniteRing, elems: Iterable[int]) -> tuple[FiniteRing, list[in
         provenance={"kind": "subring"},
     )
     return out, old
-
-
-def _additive_order(ring: FiniteRing, a: int) -> int:
-    k, x = 1, a
-    while x != ring.zero:
-        x = ring.add(x, a)
-        k += 1
-    return k
-
-
-def find_isomorphism(r1: FiniteRing, r2: FiniteRing) -> Optional[list[int]]:
-    """Search for a ring isomorphism r1 -> r2; returns the image list or None.
-
-    Pins 1 -> 1, then backtracks over images of additive generators (always
-    the smallest unmapped id), pruning on additive order and injectivity.
-    Complete maps are verified against the full tables, so a returned list is
-    a certified isomorphism.
-    """
-    if r1.order != r2.order:
-        return None
-    n = r1.order
-    if _additive_order(r1, r1.one) != _additive_order(r2, r2.one):
-        return None
-    orders2: dict[int, list[int]] = {}
-    for y in range(n):
-        orders2.setdefault(_additive_order(r2, y), []).append(y)
-
-    def extend(mapping: dict[int, int], g: int, u: int) -> Optional[dict[int, int]]:
-        # mapping's keys form an additive subgroup S; cover every coset S + k*g
-        new_map = dict(mapping)
-        used = set(new_map.values())
-        kg, ku = g, u
-        while kg != r1.zero:
-            for x, y in mapping.items():
-                xk, yk = r1.add(x, kg), r2.add(y, ku)
-                prev = new_map.get(xk)
-                if prev is not None:
-                    if prev != yk:
-                        return None
-                elif yk in used:
-                    return None
-                else:
-                    new_map[xk] = yk
-                    used.add(yk)
-            kg, ku = r1.add(kg, g), r2.add(ku, u)
-        if ku != r2.zero:
-            return None
-        # multiplicative consistency on everything mapped so far prunes the
-        # additive-only branches before they fan out
-        keys = list(new_map)
-        for x1 in keys:
-            y1 = new_map[x1]
-            for x2 in keys:
-                p = r1.mul(x1, x2)
-                py = new_map.get(p)
-                if py is not None and py != r2.mul(y1, new_map[x2]):
-                    return None
-        return new_map
-
-    def backtrack(mapping: dict[int, int]) -> Optional[dict[int, int]]:
-        if len(mapping) == n:
-            return mapping
-        g = min(x for x in range(n) if x not in mapping)
-        taken = set(mapping.values())
-        for u in orders2.get(_additive_order(r1, g), []):
-            if u in taken:
-                continue
-            ext = extend(mapping, g, u)
-            if ext is None:
-                continue
-            got = backtrack(ext)
-            if got is not None:
-                return got
-        return None
-
-    base = extend({r1.zero: r2.zero}, r1.one, r2.one)
-    if base is None:
-        return None
-    result = backtrack(base)
-    if result is None:
-        return None
-    phi = np.empty(n, dtype=np.int64)
-    for x, y in result.items():
-        phi[x] = y
-    if not np.array_equal(phi[r1.add_table], r2.add_table[phi[:, None], phi[None, :]]):
-        return None
-    if not np.array_equal(phi[r1.mul_table], r2.mul_table[phi[:, None], phi[None, :]]):
-        return None
-    return [int(x) for x in phi]

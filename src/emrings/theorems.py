@@ -10,8 +10,9 @@ strongest self-test.
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -62,42 +63,6 @@ class CorpusEntry:
     name: str
     ring: FiniteRing
     grading: Grading
-
-
-@dataclass
-class _EntryState:
-    """Artifacts shared between rows of one corpus entry, computed lazily."""
-
-    entry: CorpusEntry
-    _cache: dict = field(default_factory=dict)
-
-    def em_graded(self) -> PropertyReport:
-        if "em_graded" not in self._cache:
-            self._cache["em_graded"] = is_em_g_graded(self.entry.ring, self.entry.grading)
-        return self._cache["em_graded"]
-
-    def identity_subring_em(self) -> PropertyReport:
-        if "re_em" not in self._cache:
-            re_elems = self.entry.grading.identity_component().elements
-            re_ring, _ = subring(self.entry.ring, re_elems)
-            self._cache["re_em"] = is_em_ring(re_ring)
-        return self._cache["re_em"]
-
-    def t2(self):
-        if "t2" not in self._cache:
-            self._cache["t2"] = check_t2_hypotheses(self.entry.grading)
-        return self._cache["t2"]
-
-    def square_zero_extension(self):
-        if "ext" not in self._cache:
-            ring = self.entry.ring
-            if ring.order * ring.order > EXTENSION_CAP:
-                self._cache["ext"] = None
-            else:
-                ext = poly_quotient_xn(ring, 2, var="X", max_order=EXTENSION_CAP)
-                lifted = square_zero_extension_grading(ext, self.entry.grading)
-                self._cache["ext"] = (ext, lifted)
-        return self._cache["ext"]
 
 
 def _implication(
@@ -165,20 +130,30 @@ def theorem_suite(
     """
     reports: list[PropertyReport] = []
     for entry in entries:
-        reports.extend(_entry_rows(_EntryState(entry), armendariz_degree))
+        reports.extend(_entry_rows(entry, armendariz_degree))
     return reports
 
 
-def _entry_rows(state: _EntryState, armendariz_degree: Optional[int]) -> list[PropertyReport]:
-    entry = state.entry
+def _entry_rows(entry: CorpusEntry, armendariz_degree: Optional[int]) -> list[PropertyReport]:
     ring, grading = entry.ring, entry.grading
     d_arm = (3 if ring.order <= 300 else 2) if armendariz_degree is None else armendariz_degree
 
-    def em_graded() -> bool:
-        return state.em_graded().holds
+    # verdicts several rows share, each decided at most once per entry and
+    # charged to the first row that asks
+    @functools.cache
+    def em_report() -> PropertyReport:
+        return is_em_g_graded(ring, grading)
 
+    @functools.cache
+    def t2_holds() -> bool:
+        return check_t2_hypotheses(grading)[0]
+
+    @functools.cache
     def re_em() -> bool:
-        return state.identity_subring_em().holds
+        return is_em_ring(subring(ring, grading.identity_component().elements)[0]).holds
+
+    def em_graded() -> bool:
+        return em_report().holds
 
     # t1: EM-graded iff every component is an EM-subset.  is_em_g_graded
     # decides EM-graded by that very scan, so the row checks that its pools
@@ -193,7 +168,7 @@ def _entry_rows(state: _EntryState, armendariz_degree: Optional[int]) -> list[Pr
     rows = [
         _biconditional("t1", entry, pools_cover_hz, lambda: True),
         # t2: component-cyclicity hypotheses + R_e an EM-ring -> EM-graded
-        _implication("t2", entry, lambda: state.t2()[0] and re_em(), em_graded),
+        _implication("t2", entry, lambda: t2_holds() and re_em(), em_graded),
         # c2: crossed product + R_e an EM-ring -> EM-graded
         _implication("c2", entry, lambda: is_crossed_product(grading)[0] and re_em(), em_graded),
         # t3: EM-graded -> Armendariz-graded (bounded degree)
@@ -240,11 +215,13 @@ def _entry_rows(state: _EntryState, armendariz_degree: Optional[int]) -> list[Pr
     # t8: no nonzero homogeneous zero divisors -> R[X]/(X^2) is EM-graded;
     # t9: R[X]/(X^2) EM-graded -> R EM-graded.  built is None when the
     # extension is over its cap, which skips the row
-    ext = state.square_zero_extension()
-    built = None if ext is None else True
+    built = ring.order * ring.order <= EXTENSION_CAP or None
+    if built:
+        ext = poly_quotient_xn(ring, 2, var="X", max_order=EXTENSION_CAP)
+        lifted = square_zero_extension_grading(ext, grading)
 
     def ext_em_graded() -> bool:
-        return is_em_g_graded(*ext).holds
+        return is_em_g_graded(ext, lifted).holds
 
     rows.append(_implication(
         "t8", entry, lambda: check_t8_condition(grading) and built, ext_em_graded
@@ -269,7 +246,7 @@ def _entry_rows(state: _EntryState, armendariz_degree: Optional[int]) -> list[Pr
 
     # l1: under the component hypotheses, regular tuples of R_e stay regular in R
     rows.append(_implication(
-        "l1", entry, lambda: state.t2()[0], lambda: check_regular_embedding(grading).holds
+        "l1", entry, t2_holds, lambda: check_regular_embedding(grading).holds
     ))
 
     # l2: the content ideal of a homogeneous polynomial is a graded ideal.  A
@@ -288,14 +265,14 @@ def _entry_rows(state: _EntryState, armendariz_degree: Optional[int]) -> list[Pr
     # hT(R) is R itself, so the hypothesis is the entry's EM-graded verdict
     rows.append(_implication(
         "t5", entry, em_graded,
-        lambda: verify_t5(ring, grading, em_report=state.em_graded()).holds,
+        lambda: verify_t5(ring, grading, em_report=em_report()).holds,
         detail=_ring_bounds(ring),
     ))
 
     # t7: EM-graded survives one polynomial extension (one check per ideal)
     rows.append(_implication(
         "t7", entry, em_graded,
-        lambda: verify_t7_bounded(ring, grading, em_report=state.em_graded()).holds,
+        lambda: verify_t7_bounded(ring, grading, em_report=em_report()).holds,
     ))
     return rows
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -6,8 +7,8 @@ import pytest
 from emrings.analysis import PropertyReport
 from emrings.cli import PROPERTIES, main, parse_poly_literal
 from emrings.construct import OrderCapError, build_spec
-from emrings.poly import poly_str
-from emrings.presets import preset_names
+from emrings.poly import poly_str, polynomial
+from emrings.presets import build_preset, preset_names
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -268,6 +269,37 @@ def test_poly_literal_parser(e1):
         parse_poly_literal(e1, "5Q+x")
     with pytest.raises(ValueError):
         parse_poly_literal(e1, "[99]")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_poly_literal_in_the_printed_variable(capsys, fmt):
+    """Over z4-xn-3 poly_str writes the variable as t, since the labels use
+    x; the literal it prints is read back as the same polynomial."""
+    outputs = [
+        run(capsys, "find-content", "--ring", "z4-xn-3", "--poly", poly, "--format", fmt)
+        for poly in ("[4,2]", "x+2*t")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and "x + 2*t" in outputs[0][1]
+
+
+def test_poly_literal_round_trips_poly_str():
+    """parse_poly_literal reads back what poly_str prints, for every
+    polynomial of degree <= 2 with two nonzero coefficients whose labels
+    poly_str prints bare (no '+' or '/'), on every preset of order <= 64."""
+    checked = 0
+    for name in preset_names():
+        ring, _ = build_preset(name)
+        if ring.order > 64:
+            continue
+        plain = [c for c in ring.elements()
+                 if c != ring.zero and not {"+", "/"} & set(ring.label(c))]
+        for a, b in itertools.product(plain, repeat=2):
+            for coeffs in ([a, b], [a, 0, b], [0, a, b]):
+                f = polynomial(ring, coeffs)
+                assert parse_poly_literal(ring, poly_str(f)) == f, (name, coeffs, poly_str(f))
+                checked += 1
+    assert checked > 1000
 
 
 @pytest.mark.parametrize("name", preset_names())

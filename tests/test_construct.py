@@ -20,7 +20,6 @@ from emrings.construct import (
     monomial_basis,
     monomial_quotient,
     poly_quotient_xn,
-    product_embed,
     product_project,
 )
 from emrings.grading import (
@@ -30,16 +29,11 @@ from emrings.grading import (
     trivial_grading,
 )
 from emrings.presets import PRESETS, build_preset
-from emrings.rings import (
-    find_isomorphism,
-    idempotents,
-    units,
-    validate_ring,
-    zero_divisors,
-)
+from emrings.rings import idempotents, units, validate_ring, zero_divisors
 
 from oracles import (
     all_permutation_isomorphism,
+    find_isomorphism,
     former_gather,
     homogeneous_units,
     localization_classes,
@@ -90,9 +84,9 @@ def test_direct_product_single_factor(z6):
 
 def test_direct_product_projections():
     prod = direct_product([cyclic(2), cyclic(3)])
-    e = product_embed(prod, 1, 2)
-    assert product_project(prod, 1, e) == 2
-    assert product_project(prod, 0, e) == 0
+    # (0, 2) has id 0*1 + 2*2 = 4: place values 1 and 2
+    assert product_project(prod, 1, 4) == 2
+    assert product_project(prod, 0, 4) == 0
     ids = np.arange(prod.order)
     for i in (0, 1):
         expected = [product_project(prod, i, a) for a in range(prod.order)]

@@ -3,19 +3,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emrings.analysis import find_annihilating_content
+from emrings.analysis import find_annihilating_content, ideal_grid
 from emrings.construct import build_spec, cyclic, direct_product, monomial_quotient
 from emrings.poly import (
-    ANY_DEGREE,
     bivariate,
     content_ideal,
     content_is_graded,
-    factor_by_content_generator,
-    is_homogeneous,
     is_zero_divisor_poly,
     kronecker_flatten,
     kronecker_unflatten,
-    poly_add,
     poly_mul,
     poly_scale,
     poly_str,
@@ -25,7 +21,7 @@ from emrings.poly import (
 from emrings.presets import build_preset
 from emrings.rings import annihilator, ideal_generated, validate_ring
 
-from oracles import factor_by_content_product, poly_annihilator_bruteforce
+from oracles import poly_annihilator_bruteforce
 
 
 def test_poly_canonical_form(z4):
@@ -42,7 +38,6 @@ def test_arithmetic_examples(z4, e1):
     assert poly_mul(f, f).is_zero
     g = polynomial(z4, [3, 1, 2])
     assert poly_mul(g, polynomial(z4, [1])) == g
-    assert poly_add(g, polynomial(z4, [1, 3, 2])).coeffs == ()
 
 
 def test_arithmetic_rejects_ring_mismatch(z4, z6):
@@ -112,13 +107,6 @@ def test_mccoy_reduction_sampled_e1(e1, data):
     assert verdict == (poly_annihilator_bruteforce(e1, f.coeffs, 3) is not None)
 
 
-def test_is_homogeneous(e1, e1_grading):
-    assert is_homogeneous(e1_grading, polynomial(e1, [2, 2])) == (0,)
-    assert is_homogeneous(e1_grading, polynomial(e1, [4, 12])) == (1,)
-    assert is_homogeneous(e1_grading, polynomial(e1, [2, 4])) is None
-    assert is_homogeneous(e1_grading, polynomial(e1, [])) is ANY_DEGREE
-
-
 def test_content_is_graded(e1, e1_grading):
     # homogeneous polynomials always have graded content
     for comp in ((0,), (1,)):
@@ -131,48 +119,6 @@ def test_content_is_graded(e1, e1_grading):
     assert content_is_graded(e1_grading, polynomial(e1, []))
     # <2 + Y> is not graded, so neither is the content of (2+Y) + (2+Y)x
     assert not content_is_graded(e1_grading, polynomial(e1, [6, 6]))
-
-
-def test_factor_by_content_generator(z4, e1):
-    f = polynomial(z4, [2, 2])
-    g = factor_by_content_generator(f, 2)
-    assert g is not None
-    assert poly_scale(2, g) == f
-    assert content_ideal(g).elements == tuple(range(4))
-
-    # f = 2Y + 2Yx over Z4[Y]/(Y^2) with a = 2Y
-    f2 = polynomial(e1, [8, 8])
-    g2 = factor_by_content_generator(f2, 8)
-    assert g2 is not None
-    assert poly_scale(8, g2) == f2
-    assert content_ideal(g2).elements == tuple(range(16))
-
-    with pytest.raises(ValueError):
-        factor_by_content_generator(polynomial(z4, [2, 2]), 3)  # C(f) != <3>
-    with pytest.raises(ValueError):
-        factor_by_content_generator(polynomial(z4, []), 0)
-
-
-@pytest.mark.parametrize("name", ["z4", "e1", "z4-xn-3"])
-def test_factor_by_content_generator_matches_product_oracle(name):
-    """Testing the first choice of quotients gives the g of the former scan
-    over every choice, for every f of one or two coefficients and every a
-    with C(f) = (a).  When C(f) = R, only a = 1 is run: for a unit a the
-    quotients are unique and Ann(a) = 0, so there is one choice."""
-    ring, _ = build_preset(name)
-    generators: dict = {}
-    for a in range(ring.order):
-        generators.setdefault(ideal_generated(ring, [a]).elements, []).append(a)
-    full = tuple(range(ring.order))
-    coeff_lists = [[c] for c in range(1, ring.order)] + [
-        [c0, c1] for c0 in range(ring.order) for c1 in range(1, ring.order)
-    ]
-    for coeffs in coeff_lists:
-        f = polynomial(ring, coeffs)
-        content = content_ideal(f).elements
-        for a in generators.get(content, []) if content != full else [ring.one]:
-            g = factor_by_content_generator(f, a)
-            assert g is not None and g == factor_by_content_product(f, a), (coeffs, a)
 
 
 def test_kronecker_flatten_example():
@@ -231,6 +177,18 @@ def test_poly_str_names_the_variable_apart_from_the_labels():
     # every name taken: x
     assert poly_var(monomial_quotient(2, 4, [], 1, varnames=["x", "t", "s", "z"])) == "x"
     assert poly_var(build_preset("e1")[0]) == "x"
+
+
+def test_bivariate_str_names_the_outer_variable_apart_from_the_labels(z4):
+    # e2-trunc-d1's labels use x and y, so the variables are t and u; the
+    # single-term row 42 = x + y is parenthesized once, by its label
+    e2, _ = build_preset("e2-trunc-d1")
+    assert str(ideal_grid(e2, [6, 36, 42])) == "x + y*t + (x + y)*u"
+    assert str(bivariate(z4, [[1, 1], [1], [2], [0, 1]])) == "1 + x + y + 2*y^2 + x*y^3"
+    assert str(bivariate(z4, [[0], [1, 2]])) == "(1 + 2*x)*y"
+    # labels with y and u: v
+    yu = monomial_quotient(2, 2, [], 1, varnames=["y", "u"])
+    assert str(bivariate(yu, [[0], [1]])) == "v"
 
 
 def test_content_search_leaves_the_variable_name_unset():

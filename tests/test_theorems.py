@@ -1,19 +1,31 @@
 import importlib.util
+import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from emrings.analysis import SearchCaps
-from emrings.construct import cyclic, direct_product, localization, poly_quotient_xn
+import emrings.theorems as theorems
+from emrings.analysis import PropertyReport, SearchCaps
+from emrings.construct import (
+    build_spec,
+    cyclic,
+    digit_ids,
+    direct_product,
+    idealization,
+    localization,
+    poly_quotient_xn,
+)
 from emrings.grading import (
     Grading,
     GradingGroup,
+    canonical_grading,
     homogeneous_elements,
     trivial_grading,
     validate_grading,
 )
-from emrings.presets import preset_corpus
+from emrings.presets import PRESETS, build_preset, preset_corpus
 from emrings.rings import idempotents, ideal_lattice, zero_divisors
 from emrings.theorems import (
     CorpusEntry,
@@ -24,6 +36,7 @@ from emrings.theorems import (
 )
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+NEGATIVE_GOLDEN = Path(__file__).parent / "golden" / "suite-negative.json"
 
 
 def _by_name(reports):
@@ -207,3 +220,74 @@ def test_benchmark_tracer_finds_every_traced_function():
     for name, fn in tracer.originals.items():
         module, attr = name.split(".")
         assert getattr(sys.modules[f"emrings.{module}"], attr) is fn, name
+
+
+# -- a corpus that is not EM-graded ------------------------------------------------
+# Every preset is EM-graded, so no row that concludes "EM-graded" meets a
+# ring where that conclusion is false.  These entries are not EM-graded.
+
+
+def _total_degree_grading(ring) -> Grading:
+    """The grading of a monomial quotient by total degree, over Z."""
+    base, basis = ring.aux["base"], ring.aux["basis_monomials"]
+    comps = {
+        (k,): digit_ids(ring, [base.elements() if sum(m) == k else [base.zero] for m in basis])
+        for k in sorted({sum(m) for m in basis})
+    }
+    return Grading(ring, GradingGroup((0,)), comps)
+
+
+def negative_corpus() -> list[CorpusEntry]:
+    e1, z4_xn_3, e2 = (build_preset(name)[0] for name in ("e1", "z4-xn-3", "e2-trunc-d1"))
+    square = build_spec({"kind": "monomialQuotient", "m": 2, "v": 2, "d": 1})
+    e1_e1 = idealization(e1)
+    e1_z2 = direct_product([e1, cyclic(2)])
+    return [
+        CorpusEntry("e1/trivial", e1, trivial_grading(e1)),
+        CorpusEntry("z4-xn-3/trivial", z4_xn_3, trivial_grading(z4_xn_3)),
+        # the component <x, y> makes (x, y) a content ideal that is not principal
+        CorpusEntry("e2-trunc-d1/total", e2, _total_degree_grading(e2)),
+        CorpusEntry("Z2[x,y]/(x,y)^2/total", square, _total_degree_grading(square)),
+        CorpusEntry("e1(+)e1", e1_e1, canonical_grading(e1_e1)),
+        CorpusEntry("e1xZ2/trivial", e1_z2, trivial_grading(e1_z2)),
+    ]
+
+
+def _suite_json(reports) -> str:
+    return json.dumps([r.to_dict(timing=False) for r in reports], indent=2, sort_keys=True) + "\n"
+
+
+def _em_graded_mutant(verdict: str):
+    """theorems.is_em_g_graded replaced by a decider that always answers ``verdict``."""
+    return mock.patch.object(
+        theorems, "is_em_g_graded", lambda ring, grading: PropertyReport("em-graded", verdict)
+    )
+
+
+def test_negative_corpus_is_not_em_graded_and_matches_golden():
+    """The rows are pinned byte for byte in their own golden file, so the
+    preset suite's golden file stays as it is."""
+    entries = negative_corpus()
+    assert not any(theorems.is_em_g_graded(e.ring, e.grading).holds for e in entries)
+    reports = theorem_suite(entries)
+    assert suite_failures(reports) == []
+    rows = _by_name(reports)
+    assert rows["c7@e1(+)e1"].bounds == {"sides": [False, False]}
+    assert rows["t6@e1xZ2/trivial"].bounds == {"sides": [False, False]}
+    assert _suite_json(reports) == NEGATIVE_GOLDEN.read_text()
+
+
+def test_always_true_em_graded_fails_the_negative_corpus():
+    """An EM-graded decider that always answers true passes the preset suite
+    but not this corpus.  t3 runs at degree 2: at degree 3 the mutant's t3
+    asks for 36^4 tuples on e2-trunc-d1/total, above the tuple cap."""
+    with _em_graded_mutant("true"):
+        reports = theorem_suite(negative_corpus(), armendariz_degree=2)
+    assert len(suite_failures(reports)) == 16
+
+
+def test_always_false_em_graded_fails_the_presets():
+    names = [name for name in PRESETS if name != "e2-trunc-d2"]
+    with _em_graded_mutant("false"):
+        reports = theorem_suite(preset_corpus(names))
+    assert len(suite_failures(reports)) == 32
