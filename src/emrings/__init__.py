@@ -32,7 +32,6 @@ from .grading import (
 )
 from .poly import Polynomial, polynomial
 from .rings import (
-    ElementSet,
     FiniteRing,
     Ideal,
     annihilator,

@@ -26,7 +26,6 @@ import numpy as np
 from .construct import _decode_all, localization
 from .grading import (
     Grading,
-    check_t2_hypotheses,
     component_zero_divisors,
     is_graded_ideal,
     localization_grading,
@@ -50,6 +49,7 @@ from .rings import (
     _generator_min,
     _zero_divisor_mask,
     annihilator_mask,
+    element_ids,
     ideal_lattice,
     idempotents,
     zero_divisors,
@@ -343,10 +343,11 @@ def is_em_subset(
     subset of elems n Z(R)\\{0} (ideals with trivial annihilator give regular
     polynomials and are skipped).  Always exhaustive; a false witness is the
     generating subset the ideal enumeration reached first, as coefficients.
+    ValueError when ``elems`` holds an id outside the ring.
     """
     t0 = time.perf_counter()
-    zd = zero_divisors(ring).element_set
-    pool = set(int(e) for e in elems) & zd - {ring.zero}
+    ids = element_ids(ring, elems)
+    pool = ids[_zero_divisor_mask(ring)[ids] & (ids != ring.zero)]
     hit = _lattice_hit(ring, [(None, pool)], lambda ideal: _em_failure(ring, ideal))
     return _report(name, ring, t0, hit)
 
@@ -444,11 +445,9 @@ def _factor_gradings(ring: FiniteRing, grading: Optional[Grading]) -> list[Gradi
     its localization grading; [] when 1 is the only nonzero homogeneous
     idempotent.  ``grading`` None stands for the trivial grading, built
     only when R splits."""
-    idem = np.fromiter(
-        (e for e in idempotents(ring).elements
-         if e != ring.zero and (grading is None or grading.degree_of(e) is not None)),
-        dtype=np.int64,
-    )
+    idem = idempotents(ring)
+    idem = idem[[e != ring.zero and (grading is None or grading.degree_of(e) is not None)
+                 for e in idem.tolist()]]
     # f <= e iff fe = f; e is primitive when it lies above no other f
     below = ring.mul_table[np.ix_(idem, idem)] == idem
     primitive = idem[below.sum(axis=1) == 1]
@@ -505,7 +504,7 @@ def is_armendariz(ring: FiniteRing, degree: int = 1) -> PropertyReport:
     Coefficients range over Z(R): a unit coefficient on either side makes the
     polynomial regular, so such pairs can never multiply to zero.
     """
-    pool = list(zero_divisors(ring).elements)
+    pool = zero_divisors(ring).tolist()
     return _armendariz_report("armendariz", ring, [(None, pool)], degree, None)
 
 
@@ -546,16 +545,14 @@ def is_bezout_g_graded(ring: FiniteRing, grading: Grading, k: int = 2) -> Proper
 
 def check_regular_embedding(grading: Grading) -> PropertyReport:
     """Tuples over R_e with trivial annihilator inside R_e must stay regular
-    in R.  Precondition: the component-cyclicity hypotheses hold."""
-    ok, _ = check_t2_hypotheses(grading)
-    if not ok:
-        raise ValueError("regular-embedding check requires the component hypotheses")
+    in R.  Precondition, the caller's to check: the component-cyclicity
+    hypotheses hold (``check_t2_hypotheses``)."""
     t0 = time.perf_counter()
     ring = grading.ring
-    re = grading.identity_component().elements
+    re = grading.identity_component()
     re_mask = np.zeros(ring.order, dtype=bool)
-    re_mask[list(re)] = True
-    pool = [e for e in re if e != ring.zero]
+    re_mask[re] = True
+    pool = re[re != ring.zero]
 
     def check(ideal):
         ann = annihilator_mask(ring, ideal.generators)
@@ -576,27 +573,19 @@ def check_regular_embedding(grading: Grading) -> PropertyReport:
 # -- catalog checks ----------------------------------------------------------------
 
 
-def verify_t5(
-    ring: FiniteRing, grading: Grading, em_report: Optional[PropertyReport] = None
-) -> PropertyReport:
+def verify_t5(ring: FiniteRing, grading: Grading) -> PropertyReport:
     """When hT(R) is EM-graded, every homogeneous zero-divisor coefficient
     set must share its annihilator with a single ring element.
 
     The regular elements of a finite ring are units, so hT(R) is R with the
     same grading (README, t5 hypothesis) and the hypothesis is R's own
-    EM-graded verdict, taken from ``em_report`` when given.  Ann(S) = Ann((S)),
+    EM-graded verdict, which is the caller's to decide.  Ann(S) = Ann((S)),
     so the check runs once per ideal generated by a subset of one
     component's nonzero zero divisors, and is exhaustive; a false witness is
     that ideal's first generating subset.  A false verdict is classified as
     an internal-bug indicator, not a property of the mathematics.
     """
     t0 = time.perf_counter()
-    if em_report is None:
-        em_report = is_em_g_graded(ring, grading)
-    if not em_report.holds:
-        skipped = {"skipped": "hypothesis not satisfied"}
-        return _report("t5", ring, t0, None, skipped, holds="true_up_to_bounds")
-
     ann_sizes = _annihilator_sizes(ring)
 
     def check(ideal):
@@ -657,10 +646,9 @@ def check_bivariate_content(f: BivariatePolynomial) -> Optional[dict]:
     return None
 
 
-def verify_t7_bounded(
-    ring: FiniteRing, grading: Grading, em_report: Optional[PropertyReport] = None
-) -> PropertyReport:
-    """Contents survive one polynomial extension, at every degree.
+def verify_t7_bounded(ring: FiniteRing, grading: Grading) -> PropertyReport:
+    """Contents survive one polynomial extension of an EM-graded ring, at
+    every degree; that R is EM-graded is the caller's to decide.
 
     Whether a homogeneous bivariate F is a zero divisor, which content c the
     flattened F finds, and whether its cofactor W is regular depend only on
@@ -672,10 +660,6 @@ def verify_t7_bounded(
     name predates the reduction and is kept because the benchmark's tracer
     looks the function up by it.
     """
-    if em_report is None:
-        em_report = is_em_g_graded(ring, grading)
-    if not em_report.holds:
-        raise ValueError("t7 check requires an EM-graded ring")
     t0 = time.perf_counter()
 
     def check(ideal):

@@ -253,8 +253,8 @@ def describe_ring(ring: FiniteRing, grading: Optional[Grading], preset: Optional
         "idempotent_count": len(idempotents(ring)),
     }
     if ring.order <= 32:
-        doc["zero_divisors"] = [int(x) for x in zero_divisors(ring).elements]
-        doc["idempotents"] = [int(x) for x in idempotents(ring).elements]
+        doc["zero_divisors"] = zero_divisors(ring).tolist()
+        doc["idempotents"] = idempotents(ring).tolist()
         if ring.labels is not None:
             doc["labels"] = list(ring.labels)
     if grading is not None:

@@ -515,13 +515,6 @@ def digit_ids(ring: FiniteRing, digit_sets: Sequence[Iterable[int]]) -> np.ndarr
     return ids
 
 
-def product_project(ring: FiniteRing, i: int, elem):
-    """Image of a product-ring element, or an array of them, under
-    projection to factor i."""
-    radices = ring.aux["radices"]
-    return elem // _weights(radices)[i] % radices[i]
-
-
 # -- localization -----------------------------------------------------------------
 
 

@@ -9,17 +9,18 @@ decomposition table, after which every lookup is O(1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .construct import digit_ids
 from .rings import (
-    ElementSet,
     FiniteRing,
     Ideal,
     InternalInvariantError,
+    _frozen,
     _zero_divisor_mask,
+    element_ids,
     idempotents,
     units,
 )
@@ -72,7 +73,8 @@ class Grading:
     ``components`` maps degree vectors to element ids; zero components are
     dropped, and the constructor ends with :func:`validate_grading`, which
     raises :class:`GradingError` on a violated axiom, so every Grading is
-    valid.  ``support`` maps degree keys to ElementSets; keys are kept in
+    valid.  ``support`` maps degree keys to element sets (``element_ids``
+    arrays, which reject an id out of range); keys are kept in
     sorted order so every iteration downstream is deterministic.
     """
 
@@ -84,15 +86,15 @@ class Grading:
     ):
         self.ring = ring
         self.group = group
-        support: dict[DegreeKey, ElementSet] = {}
+        support: dict[DegreeKey, np.ndarray] = {}
         for key, elems in components.items():
             k = group.reduce(tuple(key))
-            es = ElementSet(ring, elems)
-            if len(es) <= 1 and (not es.elements or es.elements[0] == ring.zero):
+            ids = element_ids(ring, elems)
+            if (ids == ring.zero).all():
                 continue  # zero component: not part of the support
             if k in support:
                 raise GradingError("duplicate-degree", f"degree {k} appears twice")
-            support[k] = es
+            support[k] = ids
         self.support = dict(sorted(support.items()))
         validate_grading(self)
 
@@ -100,11 +102,11 @@ class Grading:
     def support_keys(self) -> list[DegreeKey]:
         return list(self.support.keys())
 
-    def component(self, key: Sequence[int]) -> ElementSet:
+    def component(self, key: Sequence[int]) -> np.ndarray:
         k = self.group.reduce(tuple(key))
-        return self.support.get(k, ElementSet(self.ring, (self.ring.zero,)))
+        return self.support.get(k, element_ids(self.ring, [self.ring.zero]))
 
-    def identity_component(self) -> ElementSet:
+    def identity_component(self) -> np.ndarray:
         return self.component(self.group.identity())
 
     def degree_of(self, a: int) -> Optional[DegreeKey]:
@@ -115,8 +117,8 @@ class Grading:
         return {
             "moduli": list(self.group.moduli),
             "components": [
-                {"degree": list(k), "elements": [int(e) for e in es.elements]}
-                for k, es in self.support.items()
+                {"degree": list(k), "elements": ids.tolist()}
+                for k, ids in self.support.items()
             ],
         }
 
@@ -155,7 +157,7 @@ def validate_grading(grading: Grading) -> Grading:
     ring = grading.ring
     n = ring.order
     keys = grading.support_keys
-    comps = [np.fromiter(grading.support[k].elements, dtype=np.int64) for k in keys]
+    comps = [grading.support[k] for k in keys]
 
     masks = []
     for k, c in zip(keys, comps):
@@ -245,11 +247,12 @@ def decompose(grading: Grading, a: int) -> dict[DegreeKey, int]:
     }
 
 
-def homogeneous_elements(grading: Grading) -> ElementSet:
-    ids = {grading.ring.zero}
-    for es in grading.support.values():
-        ids.update(es.elements)
-    return ElementSet(grading.ring, ids)
+def homogeneous_elements(grading: Grading) -> np.ndarray:
+    mask = np.zeros(grading.ring.order, dtype=bool)
+    mask[grading.ring.zero] = True
+    for ids in grading.support.values():
+        mask[ids] = True
+    return _frozen(np.flatnonzero(mask))
 
 
 def component_zero_divisors(grading: Grading) -> list[tuple[DegreeKey, np.ndarray]]:
@@ -260,18 +263,27 @@ def component_zero_divisors(grading: Grading) -> list[tuple[DegreeKey, np.ndarra
     ring = grading.ring
     zd = _zero_divisor_mask(ring)
     pools = []
-    for key, es in grading.support.items():
-        ids = np.fromiter(es.elements, dtype=np.int64)
+    for key, ids in grading.support.items():
         pools.append((key, ids[zd[ids] & (ids != ring.zero)]))
     return pools
 
 
 def is_graded_ideal(grading: Grading, ideal: Ideal) -> bool:
     """True iff every member's homogeneous components lie in the ideal."""
-    ids = np.fromiter(ideal.elements, dtype=np.int64)
+    ids = ideal.elements
     mask = np.zeros(grading.ring.order, dtype=bool)
     mask[ids] = True
     return bool(mask[grading._decomp[ids]].all())
+
+
+def _generators(grading: Grading, comp: np.ndarray) -> Iterator[int]:
+    """The ascending nonzero u in the component ``comp`` = R_sigma with
+    R_e u = R_sigma.  Multiplicativity puts R_e u inside R_sigma, so they are
+    equal iff R_e u has |R_sigma| elements."""
+    ring, re = grading.ring, grading.identity_component()
+    for u in comp[comp != ring.zero].tolist():
+        if len(np.unique(ring.mul_table[u, re])) == len(comp):
+            yield u
 
 
 def is_crossed_product(grading: Grading) -> tuple[bool, dict[DegreeKey, Optional[int]]]:
@@ -281,29 +293,16 @@ def is_crossed_product(grading: Grading) -> tuple[bool, dict[DegreeKey, Optional
     to satisfy R_sigma = R_e u (which crossed products guarantee); a failure
     of that identity would be an internal bug, not a property verdict.
     """
-    ring = grading.ring
-    unit_set = units(ring).element_set
-    re = np.fromiter(grading.identity_component().elements, dtype=np.int64)
+    unit = np.zeros(grading.ring.order, dtype=bool)
+    unit[units(grading.ring)] = True
     witnesses: dict[DegreeKey, Optional[int]] = {}
-    ok = True
-    for key, es in grading.support.items():
-        comp_units = [u for u in es.elements if u in unit_set]
-        if not comp_units:
-            witnesses[key] = None
-            ok = False
-            continue
-        chosen = None
-        target = np.fromiter(es.elements, dtype=np.int64)
-        for u in comp_units:
-            if np.array_equal(np.unique(ring.mul_table[re, u]), target):
-                chosen = u
-                break
-        if chosen is None:
+    for key, comp in grading.support.items():
+        witnesses[key] = next((u for u in _generators(grading, comp) if unit[u]), None)
+        if witnesses[key] is None and unit[comp].any():
             raise InternalInvariantError(
                 f"component {key} has a unit but is not R_e times a unit"
             )
-        witnesses[key] = int(chosen)
-    return ok, witnesses
+    return None not in witnesses.values(), witnesses
 
 
 # -- hypothesis checks used by the theorem catalog -------------------------------
@@ -312,27 +311,13 @@ def is_crossed_product(grading: Grading) -> tuple[bool, dict[DegreeKey, Optional
 def check_t2_hypotheses(grading: Grading) -> tuple[bool, dict[DegreeKey, Optional[int]]]:
     """For each support component, find u with R_sigma = R_e u and no nonzero
     annihilator of u inside R_e; reports the smallest such u per component."""
-    ring = grading.ring
-    re = np.fromiter(grading.identity_component().elements, dtype=np.int64)
-    ok = True
-    witnesses: dict[DegreeKey, Optional[int]] = {}
-    for key, es in grading.support.items():
-        target = np.fromiter(es.elements, dtype=np.int64)
-        found = None
-        for u in es.elements:
-            if u == ring.zero:
-                continue
-            products = ring.mul_table[re, u]
-            if not np.array_equal(np.unique(products), target):
-                continue
-            kills = re[products == ring.zero]
-            if len(kills) == 0 or (len(kills) == 1 and int(kills[0]) == ring.zero):
-                found = int(u)
-                break
-        witnesses[key] = found
-        if found is None:
-            ok = False
-    return ok, witnesses
+    ring, re = grading.ring, grading.identity_component()
+    witnesses = {
+        key: next((u for u in _generators(grading, comp)
+                   if np.count_nonzero(ring.mul_table[u, re] == ring.zero) == 1), None)
+        for key, comp in grading.support.items()
+    }
+    return None not in witnesses.values(), witnesses
 
 
 def check_t8_condition(grading: Grading) -> bool:
@@ -345,10 +330,10 @@ def check_t10_condition(grading: Grading) -> tuple[bool, dict[int, Optional[int]
     ab = 0 puts bR inside Ann(a), and |bR| = |R| / |Ann(b)| (README,
     principal-class reduction), so they are equal iff the sizes agree."""
     ring = grading.ring
-    idem = np.fromiter(idempotents(ring).elements, dtype=np.int64)
+    idem = idempotents(ring)
     idem_ann = (ring.mul_table[idem] == ring.zero).sum(axis=1)
     witnesses: dict[int, Optional[int]] = {}
-    for a in homogeneous_elements(grading).elements:
+    for a in homogeneous_elements(grading).tolist():
         kills = ring.mul_table[a] == ring.zero
         hits = idem[kills[idem] & (np.count_nonzero(kills) * idem_ann == ring.order)]
         witnesses[int(a)] = int(hits[0]) if len(hits) else None
@@ -397,7 +382,7 @@ def product_grading(ring: FiniteRing, factor_gradings: Sequence[Grading]) -> Gra
 
     def digit_set(g, key):  # a factor of another group lies in degree e
         if g.group == group:
-            return g.component(key).elements
+            return g.component(key)
         return g.ring.elements() if key == identity else (g.ring.zero,)
 
     keys = sorted({identity, *(k for g in graded for k in g.support_keys)})
@@ -418,10 +403,7 @@ def localization_grading(ring: FiniteRing) -> Grading:
         raise ValueError("localization_grading needs a localization ring")
     bgrading: Grading = ring.aux["grading"]
     canonical = ring.aux["canonical_map"]
-    comps = {
-        k: canonical[np.fromiter(es.elements, dtype=np.int64)]
-        for k, es in bgrading.support.items()
-    }
+    comps = {k: canonical[ids] for k, ids in bgrading.support.items()}
     return Grading(ring, bgrading.group, comps)
 
 
@@ -430,7 +412,7 @@ def square_zero_extension_grading(ring: FiniteRing, base_grading: Grading) -> Gr
     prov = ring.provenance or {}
     if prov.get("kind") != "polyQuotientXn" or prov.get("n") != 2:
         raise ValueError("square_zero_extension_grading needs R[x]/(x^2)")
-    digits = [[es.elements] * 2 for es in base_grading.support.values()]
+    digits = [[ids] * 2 for ids in base_grading.support.values()]
     return _digit_grading(ring, base_grading.group, base_grading.support_keys, digits)
 
 

@@ -9,7 +9,6 @@ from the tables, so every decider downstream has a single code path.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -141,43 +140,44 @@ def _id_table(value) -> Optional[np.ndarray]:
     return table if table is not None and table.ndim == 2 and table.dtype.kind in "iu" else None
 
 
-@dataclass(frozen=True)
-class ElementSet:
-    """A canonical (sorted, duplicate-free) set of element ids of one ring."""
+def element_ids(ring: FiniteRing, elems: Iterable[int]) -> np.ndarray:
+    """``elems`` as a set of elements of ``ring``: an ascending,
+    duplicate-free, read-only int64 id array, the one form every set of
+    elements takes.  ValueError for an id outside ``0..order-1``."""
+    try:
+        ids = np.sort(np.asarray(elems if isinstance(elems, np.ndarray) else list(elems),
+                                 dtype=np.int64))
+    except OverflowError:
+        ids = np.array([-1])
+    if len(ids) and not (0 <= ids[0] and ids[-1] < ring.order):
+        raise ValueError(f"element id out of range for order {ring.order}")
+    # np.unique would import numpy.ma, which costs resident memory
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    return _frozen(ids[first])
+
+
+def _frozen(ids: np.ndarray) -> np.ndarray:
+    """``ids``, ascending and duplicate-free already, made read-only."""
+    ids.flags.writeable = False
+    return ids
+
+
+@dataclass(frozen=True, eq=False)
+class Ideal:
+    """An ideal given by its elements, as :func:`element_ids` returns them,
+    plus a generating set."""
 
     ring: FiniteRing = field(repr=False)
-    elements: tuple[int, ...]
-
-    def __post_init__(self):
-        elems = tuple(sorted(set(int(e) for e in self.elements)))
-        if elems and not (0 <= elems[0] and elems[-1] < self.ring.order):
-            raise ValueError(f"element id out of range for order {self.ring.order}")
-        object.__setattr__(self, "elements", elems)
-
-    def __contains__(self, e: int) -> bool:
-        return e in self.element_set
-
-    def __iter__(self):
-        return iter(self.elements)
+    elements: np.ndarray
+    generators: tuple[int, ...] = ()
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    @functools.cached_property
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
-
-
-@dataclass(frozen=True)
-class Ideal(ElementSet):
-    """An ideal given by its full element list plus a generating set."""
-
-    generators: tuple[int, ...] = ()
-
     def validate(self) -> None:
         """Re-check the ideal axioms exhaustively (used by property tests)."""
-        ring = self.ring
-        ids = np.fromiter(self.elements, dtype=np.int64)
+        ring, ids = self.ring, self.elements
         mask = np.zeros(ring.order, dtype=bool)
         mask[ids] = True
         if not mask[ring.zero]:
@@ -186,8 +186,7 @@ class Ideal(ElementSet):
             raise InternalInvariantError("ideal not closed under addition")
         if not mask[ring.mul_table[ids, :]].all():
             raise InternalInvariantError("ideal not closed under ring multiplication")
-        closure = ideal_generated(ring, self.generators)
-        if closure.elements != self.elements:
+        if not np.array_equal(ideal_generated(ring, self.generators).elements, ids):
             raise InternalInvariantError("ideal is not the closure of its generators")
 
 
@@ -375,16 +374,16 @@ def _zero_divisor_mask(ring: FiniteRing) -> np.ndarray:
     return mask
 
 
-def zero_divisors(ring: FiniteRing) -> ElementSet:
+def zero_divisors(ring: FiniteRing) -> np.ndarray:
     """All r with r*s = 0 for some s != 0.  Contains 0 whenever order > 1."""
-    return ElementSet(ring, np.nonzero(_zero_divisor_mask(ring))[0])
+    return _frozen(np.flatnonzero(_zero_divisor_mask(ring)))
 
 
-def regular_elements(ring: FiniteRing) -> ElementSet:
-    return ElementSet(ring, np.nonzero(~_zero_divisor_mask(ring))[0])
+def regular_elements(ring: FiniteRing) -> np.ndarray:
+    return _frozen(np.flatnonzero(~_zero_divisor_mask(ring)))
 
 
-def units(ring: FiniteRing) -> ElementSet:
+def units(ring: FiniteRing) -> np.ndarray:
     mask = ring._cache.get("unit_mask")
     if mask is None:
         mask = _by_rows(ring.mul_table, lambda b: (b == ring.one).any(axis=1))
@@ -392,7 +391,7 @@ def units(ring: FiniteRing) -> ElementSet:
         # in a finite commutative ring the units are exactly the regular elements
         if (mask == _zero_divisor_mask(ring)).any():
             raise InternalInvariantError("units != regular elements")
-    return ElementSet(ring, np.nonzero(mask)[0])
+    return _frozen(np.flatnonzero(mask))
 
 
 def _annihilator_sizes(ring: FiniteRing) -> np.ndarray:
@@ -403,19 +402,17 @@ def _annihilator_sizes(ring: FiniteRing) -> np.ndarray:
     return ring._cache["ann_sizes"]
 
 
-def idempotents(ring: FiniteRing) -> ElementSet:
-    diag = ring.mul_table.diagonal()
-    return ElementSet(ring, np.nonzero(diag == np.arange(ring.order))[0])
+def idempotents(ring: FiniteRing) -> np.ndarray:
+    return _frozen(np.flatnonzero(ring.mul_table.diagonal() == np.arange(ring.order)))
 
 
 def annihilator(ring: FiniteRing, subset: Iterable[int]) -> Ideal:
     """Ann(S) = all t with t*s = 0 for every s in S.  Ann({}) is the ring."""
     ids = sorted(set(int(s) for s in subset))
     if not ids:
-        all_elems = tuple(range(ring.order))
-        return Ideal(ring, all_elems, generators=(ring.one,))
-    members = tuple(int(t) for t in np.nonzero(annihilator_mask(ring, ids))[0])
-    return Ideal(ring, members, generators=members)
+        return Ideal(ring, _frozen(np.arange(ring.order)), generators=(ring.one,))
+    members = _frozen(np.flatnonzero(annihilator_mask(ring, ids)))
+    return Ideal(ring, members, generators=tuple(members.tolist()))
 
 
 def annihilator_mask(ring: FiniteRing, subset: Iterable[int]) -> np.ndarray:
@@ -437,32 +434,32 @@ def annihilator_mask(ring: FiniteRing, subset: Iterable[int]) -> np.ndarray:
     return mask
 
 
-def divisor_solutions(ring: FiniteRing, c: int, a: int) -> ElementSet:
+def divisor_solutions(ring: FiniteRing, c: int, a: int) -> np.ndarray:
     """All b with c*b = a; empty or a coset of Ann(c)."""
-    sols = np.nonzero(ring.mul_table[c] == a)[0]
+    sols = _frozen(np.flatnonzero(ring.mul_table[c] == a))
     if len(sols):
         n_ann = int((ring.mul_table[c] == ring.zero).sum())
         if len(sols) != n_ann:
             raise InternalInvariantError("solution set is not a coset of Ann(c)")
-    return ElementSet(ring, sols)
+    return sols
 
 
 def additive_span(ring: FiniteRing, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
-    """A + B for additive subgroups A, B (itself a subgroup), as a sorted id array."""
-    return np.unique(ring.add_table[np.ix_(a_ids, b_ids)])
+    """A + B for additive subgroups A, B (itself a subgroup), as an element set."""
+    return _frozen(np.unique(ring.add_table[np.ix_(a_ids, b_ids)]).astype(np.int64))
 
 
 def ideal_generated(ring: FiniteRing, gens: Iterable[int]) -> Ideal:
     """Closure of ``gens`` under addition and ambient multiplication."""
     gen_ids = tuple(sorted(set(int(g) for g in gens)))
     if not gen_ids:
-        return Ideal(ring, (ring.zero,), generators=())
+        return Ideal(ring, element_ids(ring, [ring.zero]), generators=())
     # <g1..gk> = g1*R + ... + gk*R, and a generator already inside adds nothing
     span = _principal(ring, gen_ids[0])
     for g in gen_ids[1:]:
         if not (span == g).any():
             span = additive_span(ring, span, _principal(ring, g))
-    return Ideal(ring, tuple(int(x) for x in span), generators=gen_ids)
+    return Ideal(ring, span, generators=gen_ids)
 
 
 def _membership_key(ring: FiniteRing, ids: np.ndarray) -> bytes:
@@ -485,11 +482,12 @@ def _generator_min(ring: FiniteRing) -> np.ndarray:
 
 
 def _principal(ring: FiniteRing, p: int) -> np.ndarray:
-    """The sorted ids of pR, filled once per class of equal principal ideals."""
+    """pR as an element set, filled once per class of equal principal
+    ideals; read-only, since the ideals built from it share it."""
     table = ring._cache.setdefault("principal", {})
     g = int(_generator_min(ring)[p])
     if g not in table:
-        table[g] = np.flatnonzero(np.bincount(ring.mul_table[g], minlength=ring.order))
+        table[g] = _frozen(np.flatnonzero(np.bincount(ring.mul_table[g], minlength=ring.order)))
     return table[g]
 
 
@@ -497,7 +495,7 @@ def is_principal(ring: FiniteRing, ideal: Ideal) -> Optional[int]:
     """Smallest p with <p> equal to the ideal, or None.  A p in an ideal I
     has pR inside I, and |pR| * |Ann(p)| = |R|, so pR = I iff the sizes
     agree; the one comparison left catches an element set that is no ideal."""
-    ids = np.fromiter(ideal.elements, dtype=np.int64)
+    ids = ideal.elements
     hits = ids[_annihilator_sizes(ring)[ids] * len(ids) == ring.order]
     return int(hits[0]) if len(hits) and np.array_equal(_principal(ring, hits[0]), ids) else None
 

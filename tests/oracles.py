@@ -14,15 +14,17 @@ import numpy as np
 from hypothesis import strategies as st
 
 from emrings.construct import monomial_basis
+from emrings import grading as grading_module
 from emrings.grading import (
     Grading,
+    GradingError,
     GradingGroup,
     homogeneous_elements,
     localization_grading,
     trivial_grading,
     validate_grading,
 )
-from emrings.rings import ElementSet, _zero_divisor_mask, units, zero_divisors
+from emrings.rings import _zero_divisor_mask, units, zero_divisors
 
 
 def subset_stream(pool: Iterable[int]):
@@ -315,7 +317,7 @@ def t7_grid_failure(ring, grading, check: Callable, degrees=(1, 1)) -> Optional[
 
     dx, dy = degrees
     for key in grading.support_keys:
-        pool = grading.support[key].elements
+        pool = grading.support[key].tolist()
         for grid in itertools.product(pool, repeat=(dx + 1) * (dy + 1)):
             rows = [grid[r * (dx + 1) : (r + 1) * (dx + 1)] for r in range(dy + 1)]
             failure = check(bivariate(ring, rows))
@@ -417,7 +419,7 @@ def localization_grading_pairs(loc, pair_class, s_ids):
 def homogeneous_units(grading) -> list:
     """The homogeneous regular elements, which in a finite ring are the
     homogeneous units: the set hT(R) localizes at."""
-    return sorted(homogeneous_elements(grading).element_set & units(grading.ring).element_set)
+    return sorted(set(homogeneous_elements(grading).tolist()) & set(units(grading.ring).tolist()))
 
 
 def additive_span_closure(ring, elems) -> np.ndarray:
@@ -668,7 +670,7 @@ def product_grading(ring: FiniteRing, factor_gradings: Sequence[Grading]) -> Gra
     for key in keys:
         enc = np.zeros(1, dtype=np.int64)
         for i, g in enumerate(factor_gradings):
-            elems = np.fromiter(g.component(key).elements, dtype=np.int64)
+            elems = g.component(key)
             enc = (enc[:, None] + elems[None, :] * weights[i]).ravel()
         comps[key] = enc
     return validate_grading(Grading(ring, GradingGroup(moduli), comps))
@@ -687,10 +689,7 @@ def localization_grading(ring: FiniteRing) -> Grading:
         raise ValueError("localization_grading needs a localization ring")
     bgrading: Grading = ring.aux["grading"]
     canonical = ring.aux["canonical_map"]
-    comps = {
-        k: canonical[np.fromiter(es.elements, dtype=np.int64)]
-        for k, es in bgrading.support.items()
-    }
+    comps = {k: canonical[ids] for k, ids in bgrading.support.items()}
     return validate_grading(Grading(ring, bgrading.group, comps))
 
 
@@ -701,8 +700,7 @@ def square_zero_extension_grading(ring: FiniteRing, base_grading: Grading) -> Gr
         raise ValueError("square_zero_extension_grading needs R[x]/(x^2)")
     b = prov["base_order"]
     comps = {}
-    for key, es in base_grading.support.items():
-        elems = np.fromiter(es.elements, dtype=np.int64)
+    for key, elems in base_grading.support.items():
         comps[key] = (elems[:, None] + elems[None, :] * b).ravel()
     return validate_grading(Grading(ring, base_grading.group, comps))
 
@@ -826,8 +824,8 @@ def keyed_candidate_data(ring) -> tuple[np.ndarray, list[list[int]]]:
 def keyed_is_principal(ring, ideal) -> Optional[int]:
     """Smallest p with <p> equal to the ideal, or None (p ranges over the
     ideal, since p lies in pR)."""
-    key = _membership_key(ring, np.fromiter(ideal.elements, dtype=np.int64))
-    for p in ideal.elements:
+    key = _membership_key(ring, ideal.elements)
+    for p in ideal.elements.tolist():
         if _principal(ring, p)[0] == key:
             return int(p)
     return None
@@ -837,7 +835,7 @@ def keyed_t10_witnesses(grading) -> dict[int, Optional[int]]:
     """For each homogeneous a, the first idempotent b with Ann(a) = bR."""
     ring = grading.ring
     idem = [int(b) for b in np.flatnonzero(ring.mul_table.diagonal() == np.arange(ring.order))]
-    homogeneous = sorted({ring.zero}.union(*(es.elements for es in grading.support.values())))
+    homogeneous = sorted({ring.zero}.union(*(ids.tolist() for ids in grading.support.values())))
     witnesses = {}
     for a in homogeneous:
         ann = _membership_key(ring, np.flatnonzero(table_annihilator(ring, [a])))
@@ -876,6 +874,33 @@ def keyed_ideal_lattice(ring, pool, max_gens: Optional[int] = None):
                 yield path + (p,), tuple(int(x) for x in joined)
 
 
+# -- the former t6 reading of a product's grading; theorems._factor_corners
+# now localizes at the factor identities instead
+
+
+def product_project(ring, i: int, elem):
+    """Image of a product-ring element, or an array of them, under
+    projection to factor i: digit i of its mixed-radix id."""
+    radices = ring.aux["radices"]
+    return elem // int(np.prod(radices[:i])) % radices[i]
+
+
+def former_projected_gradings(ring, grading) -> Optional[list]:
+    """The gradings of the factors of a product ring by the projections of
+    ``grading``'s components, or None when ``grading`` is not their product
+    grading."""
+    projected = []
+    for i, factor in enumerate(ring.aux["factors"]):
+        comps = {k: product_project(ring, i, ids) for k, ids in grading.support.items()}
+        try:
+            projected.append(Grading(factor, grading.group, comps))
+        except GradingError:
+            return None
+    support = lambda g: {k: ids.tolist() for k, ids in g.support.items()}
+    rebuilt = grading_module.product_grading(ring, projected)
+    return projected if support(rebuilt) == support(grading) else None
+
+
 # -- the former homogeneous zero-divisor pool builders, one per caller; the
 # library now reads every pool off grading.component_zero_divisors
 
@@ -886,26 +911,26 @@ def former_component_pools(ring, grading) -> list:
     unit coefficient makes a polynomial regular."""
     zd = _zero_divisor_mask(ring)
     return [
-        (key, {e for e in grading.support[key].elements if zd[e]} - {ring.zero})
+        (key, {e for e in grading.support[key].tolist() if zd[e]} - {ring.zero})
         for key in grading.support_keys
     ]
 
 
 def former_armendariz_pools(ring, grading) -> list:
     """The pools the former is_armendariz_g_graded scanned."""
-    zd = zero_divisors(ring).element_set
-    return [(key, sorted(set(grading.support[key].elements) & zd)) for key in grading.support_keys]
+    zd = set(zero_divisors(ring).tolist())
+    return [(key, sorted(set(grading.support[key].tolist()) & zd)) for key in grading.support_keys]
 
 
-def former_homogeneous_zero_divisors(grading) -> ElementSet:
-    zd = zero_divisors(grading.ring).element_set
-    return ElementSet(grading.ring, homogeneous_elements(grading).element_set & zd)
+def former_homogeneous_zero_divisors(grading) -> list[int]:
+    zd = set(zero_divisors(grading.ring).tolist())
+    return sorted(set(homogeneous_elements(grading).tolist()) & zd)
 
 
 def former_check_t8_condition(grading) -> bool:
     """True iff no nonzero homogeneous element is a zero divisor."""
     hz = former_homogeneous_zero_divisors(grading)
-    return all(e == grading.ring.zero for e in hz.elements)
+    return all(e == grading.ring.zero for e in hz)
 
 
 # -- the former whole-block table gather; construct._gather now gathers in

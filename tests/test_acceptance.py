@@ -110,7 +110,7 @@ def _criterion_5(entries, caps):
     for entry in _small_rings(entries):
         ring = entry.ring
         rng = np.random.default_rng(ring.order * 1009 + 5)
-        zd_pool = list(zero_divisors(ring).elements)
+        zd_pool = zero_divisors(ring).tolist()
         full = list(range(ring.order))
         done = 0
         while done < MCCOY_SAMPLES_PER_RING:
@@ -140,7 +140,7 @@ def _criterion_6(entries, caps):
     total = 0
     for entry in _small_rings(entries):
         ring = entry.ring
-        zd_pool = [int(c) for c in zero_divisors(ring).elements]
+        zd_pool = zero_divisors(ring).tolist()
         if len(zd_pool) <= 1:
             continue  # fields: no zero-divisor polynomials exist
         rng = np.random.default_rng(ring.order * 2003 + 6)
@@ -153,7 +153,7 @@ def _criterion_6(entries, caps):
             f = polynomial(ring, coeffs)
             if f.is_zero:
                 continue
-            if annihilator(ring, set(f.coeffs)).elements == (ring.zero,):
+            if annihilator(ring, set(f.coeffs)).elements.tolist() == [ring.zero]:
                 continue  # regular: not a zero-divisor polynomial
             done += 1
             total += 1

@@ -258,6 +258,17 @@ def test_grading_valid_malformed_document_is_an_input_error(tmp_path, capsys):
     assert code == 1 and "error:" in err and "malformed-document" in err
 
 
+@pytest.mark.parametrize("elem", [99, -1])
+def test_out_of_range_grading_element_is_an_input_error(tmp_path, capsys, elem):
+    grading = tmp_path / "grading.json"
+    grading.write_text(json.dumps({"moduli": [1], "components": [
+        {"degree": [0], "elements": [0, 1, 2, 3, elem]},
+    ]}))
+    code, _, err = run(capsys, "check", "--ring", "z4", "--property", "em-graded",
+                       "--grading", str(grading))
+    assert code == 1 and "element id out of range for order 4" in err
+
+
 def test_poly_literal_parser(e1):
     assert parse_poly_literal(e1, "[2,4]").coeffs == (2, 4)
     assert parse_poly_literal(e1, "2+Y*x").coeffs == (2, 4)

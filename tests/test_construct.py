@@ -20,7 +20,6 @@ from emrings.construct import (
     monomial_basis,
     monomial_quotient,
     poly_quotient_xn,
-    product_project,
 )
 from emrings.grading import (
     grading_for_spec,
@@ -38,13 +37,14 @@ from oracles import (
     homogeneous_units,
     localization_classes,
     localization_grading_pairs,
+    product_project,
     product_rows,
     vector_ring_rows,
 )
 
 
 def test_cyclic_basic(z4, z6):
-    assert zero_divisors(z6).elements == (0, 2, 3, 4)
+    assert zero_divisors(z6).tolist() == [0, 2, 3, 4]
     one_ring = cyclic(1)
     assert one_ring.order == 1 and one_ring.one == 0
     validate_ring(one_ring)
@@ -72,7 +72,7 @@ def test_direct_product_idempotents():
     klein = direct_product([cyclic(2), cyclic(2)])
     validate_ring(klein)
     # (1,0), (0,1), (1,1) are the nontrivial idempotents
-    assert idempotents(klein).elements == (0, 1, 2, 3)
+    assert idempotents(klein).tolist() == [0, 1, 2, 3]
     assert klein.one == 3
 
 
@@ -118,7 +118,7 @@ def test_poly_quotient_z2_cubed():
     validate_ring(ring)
     assert ring.order == 8
     # zero divisors are exactly the multiples of Y
-    assert zero_divisors(ring).elements == (0, 2, 4, 6)
+    assert zero_divisors(ring).tolist() == [0, 2, 4, 6]
 
 
 def test_monomial_quotient_basis_and_order():
@@ -230,7 +230,7 @@ def test_localization_at_one(z6):
 
 def test_localization_at_units(z6):
     g = trivial_grading(z6)
-    loc = localization(z6, g, units(z6).elements)
+    loc = localization(z6, g, units(z6))
     assert loc.order == 6
     _canonical_map_is_hom(z6, loc)
 
@@ -278,7 +278,7 @@ def _assert_matches_class_search(ring, grading, s):
         assert got.dtype == want.dtype and np.array_equal(got, want), (s, got, want)
     assert loc.aux["class_pairs"] == expected["class_pairs"], s
     assert loc.labels == expected["labels"], s
-    support = {k: es.elements for k, es in localization_grading(loc).support.items()}
+    support = {k: tuple(ids.tolist()) for k, ids in localization_grading(loc).support.items()}
     assert support == localization_grading_pairs(loc, expected["pair_class"], s_ids), s
     return loc
 
@@ -313,8 +313,9 @@ def test_localization_matches_class_search_oracle(name):
         ring, grading = build_preset(name)
         assert ring.order <= 216
     sets = [[ring.one], homogeneous_units(grading)]
-    for x in sorted(homogeneous_elements(grading).element_set - {ring.zero}):
-        sets.append(_power_closure(ring, x))
+    for x in homogeneous_elements(grading).tolist():
+        if x != ring.zero:
+            sets.append(_power_closure(ring, x))
     for s in sets:
         _assert_matches_class_search(ring, grading, s)
 

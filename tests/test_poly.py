@@ -53,11 +53,11 @@ def test_poly_scale(z4):
 
 
 def test_content_ideal_examples(z4, e1):
-    assert content_ideal(polynomial(z4, [2, 2])).elements == (0, 2)
+    assert content_ideal(polynomial(z4, [2, 2])).elements.tolist() == [0, 2]
     f = polynomial(e1, [2, 4])
-    assert content_ideal(f).elements == ideal_generated(e1, [2, 4]).elements
+    assert content_ideal(f).elements.tolist() == ideal_generated(e1, [2, 4]).elements.tolist()
     assert len(content_ideal(f)) == 8
-    assert content_ideal(polynomial(z4, [])).elements == (0,)
+    assert content_ideal(polynomial(z4, [])).elements.tolist() == [0]
 
 
 @settings(max_examples=50, deadline=None)
@@ -68,8 +68,8 @@ def test_content_of_scaled_poly(z6, e1, data):
     c = data.draw(st.integers(0, ring.order - 1))
     coeffs = data.draw(st.lists(st.integers(0, ring.order - 1), min_size=1, max_size=4))
     f = polynomial(ring, coeffs)
-    scaled_content = content_ideal(poly_scale(c, f)).elements
-    expected = tuple(sorted({ring.mul(c, x) for x in content_ideal(f).elements}))
+    scaled_content = content_ideal(poly_scale(c, f)).elements.tolist()
+    expected = sorted({ring.mul(c, x) for x in content_ideal(f).elements.tolist()})
     assert scaled_content == expected
 
 
@@ -110,7 +110,7 @@ def test_mccoy_reduction_sampled_e1(e1, data):
 def test_content_is_graded(e1, e1_grading):
     # homogeneous polynomials always have graded content
     for comp in ((0,), (1,)):
-        pool = [c for c in e1_grading.support[comp].elements if c != 0]
+        pool = [c for c in e1_grading.support[comp].tolist() if c != 0]
         for size in (1, 2, 3):
             for coeffs in itertools.combinations(pool, size):
                 assert content_is_graded(e1_grading, polynomial(e1, coeffs))
@@ -155,7 +155,7 @@ def test_kronecker_round_trip_and_annihilator(e1, data):
     # the nonzero coefficient multiset is preserved, so annihilators agree
     ann_f = annihilator(e1, set(f.coefficient_ids()))
     ann_g = annihilator(e1, set(g.coeffs))
-    assert ann_f.elements == ann_g.elements
+    assert ann_f.elements.tolist() == ann_g.elements.tolist()
 
 
 def test_poly_str(e1):

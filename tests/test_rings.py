@@ -12,13 +12,13 @@ from emrings.rings import (
     _TILE,
     EXHAUSTIVE_AXIOM_LIMIT,
     SAMPLED_TRIPLES,
-    ElementSet,
     FiniteRing,
     Ideal,
     InternalInvariantError,
     RingAxiomError,
     annihilator,
     divisor_solutions,
+    element_ids,
     ideal_generated,
     ideal_lattice,
     idempotents,
@@ -34,7 +34,7 @@ from emrings.rings import (
     _zero_divisor_mask,
 )
 
-from emrings.grading import homogeneous_elements
+from emrings.grading import component_zero_divisors, homogeneous_elements
 from emrings.presets import PRESETS, build_preset
 
 import oracles
@@ -253,7 +253,7 @@ def test_element_masks_match_full_table_oracle(name):
     their whole-table forms."""
     ring = build_preset(name)[0] if name in PRESETS else _TILED_RINGS[name]()
     assert np.array_equal(_zero_divisor_mask(ring), zero_divisor_mask_full(ring))
-    assert units(ring).elements == tuple(np.nonzero(unit_mask_full(ring))[0])
+    assert units(ring).tolist() == np.flatnonzero(unit_mask_full(ring)).tolist()
     assert np.array_equal(_annihilator_sizes(ring), annihilator_sizes_full(ring))
 
 
@@ -276,44 +276,44 @@ def test_order_one_zero_ring_is_valid():
     ring = validate_ring(cyclic(1))
     assert ring.order == 1
     assert ring.zero == ring.one == 0
-    assert zero_divisors(ring).elements == ()
-    assert units(ring).elements == (0,)
+    assert zero_divisors(ring).tolist() == []
+    assert units(ring).tolist() == [0]
 
 
 def test_zero_divisors_examples(z4, z6):
-    assert zero_divisors(z4).elements == (0, 2)
-    assert zero_divisors(validate_ring(cyclic(5))).elements == (0,)
-    assert zero_divisors(z6).elements == (0, 2, 3, 4)
+    assert zero_divisors(z4).tolist() == [0, 2]
+    assert zero_divisors(validate_ring(cyclic(5))).tolist() == [0]
+    assert zero_divisors(z6).tolist() == [0, 2, 3, 4]
 
 
 def test_units_idempotents_regulars(z4, z6):
-    assert units(z4).elements == (1, 3)
+    assert units(z4).tolist() == [1, 3]
     # E(Z6): squares are 0,1,4,3,4,1 -> fixed points 0,1,3,4
-    assert idempotents(z6).elements == (0, 1, 3, 4)
+    assert idempotents(z6).tolist() == [0, 1, 3, 4]
     z5 = validate_ring(cyclic(5))
-    assert regular_elements(z5).elements == (1, 2, 3, 4)
+    assert regular_elements(z5).tolist() == [1, 2, 3, 4]
 
 
 def test_annihilator_examples(z4, z6):
-    assert annihilator(z4, [2]).elements == (0, 2)
-    assert annihilator(z4, [1]).elements == (0,)
+    assert annihilator(z4, [2]).elements.tolist() == [0, 2]
+    assert annihilator(z4, [1]).elements.tolist() == [0]
     # Ann(2) = {0,3}, Ann(3) = {0,2,4}; the intersection is trivial
-    assert annihilator(z6, [2, 3]).elements == (0,)
-    assert annihilator(z6, []).elements == tuple(range(6))
+    assert annihilator(z6, [2, 3]).elements.tolist() == [0]
+    assert annihilator(z6, []).elements.tolist() == list(range(6))
 
 
 def test_divisor_solutions_examples(z4, z6):
-    assert divisor_solutions(z4, 2, 2).elements == (1, 3)
-    assert divisor_solutions(z4, 2, 1).elements == ()
-    assert divisor_solutions(z6, 3, 0).elements == (0, 2, 4)
-    assert divisor_solutions(z6, 3, 0).elements == annihilator(z6, [3]).elements
+    assert divisor_solutions(z4, 2, 2).tolist() == [1, 3]
+    assert divisor_solutions(z4, 2, 1).tolist() == []
+    assert divisor_solutions(z6, 3, 0).tolist() == [0, 2, 4]
+    assert np.array_equal(divisor_solutions(z6, 3, 0), annihilator(z6, [3]).elements)
 
 
 def test_ideal_generated_examples(z4, z6):
-    assert ideal_generated(z4, [2]).elements == (0, 2)
-    assert ideal_generated(z4, []).elements == (0,)
+    assert ideal_generated(z4, [2]).elements.tolist() == [0, 2]
+    assert ideal_generated(z4, []).elements.tolist() == [0]
     # 3 - 2 = 1, so <2,3> is everything
-    assert ideal_generated(z6, [2, 3]).elements == tuple(range(6))
+    assert ideal_generated(z6, [2, 3]).elements.tolist() == list(range(6))
 
 
 def test_is_principal_examples(z4, z6, e1):
@@ -321,10 +321,10 @@ def test_is_principal_examples(z4, z6, e1):
     assert is_principal(z6, ideal_generated(z6, [2, 3])) == 1
     # {0, 2Y} inside Z4[Y]/(Y^2): 2Y has id 8
     ideal = ideal_generated(e1, [8])
-    assert ideal.elements == (0, 8)
+    assert ideal.elements.tolist() == [0, 8]
     assert is_principal(e1, ideal) == 8
     # {0, 2, 3} is no ideal, though |2*Z6| = 3: no p generates it
-    assert is_principal(z6, Ideal(z6, (0, 2, 3))) is None
+    assert is_principal(z6, Ideal(z6, element_ids(z6, (0, 2, 3)))) is None
 
 
 def test_is_principal_matches_generated_ideals(z6, e1):
@@ -334,8 +334,8 @@ def test_is_principal_matches_generated_ideals(z6, e1):
         for gens in itertools.combinations_with_replacement(range(ring.order), 2):
             ideal = ideal_generated(ring, gens)
             expected = next(
-                (p for p in ideal.elements
-                 if ideal_generated(ring, [p]).elements == ideal.elements),
+                (p for p in ideal.elements.tolist()
+                 if np.array_equal(ideal_generated(ring, [p]).elements, ideal.elements)),
                 None,
             )
             assert is_principal(ring, ideal) == expected, gens
@@ -348,7 +348,7 @@ def test_ideal_generated_matches_span_closure(z6, e1):
     for ring in (z6, e1, xn):
         for gens in itertools.combinations_with_replacement(range(ring.order), 2):
             expected = additive_span_closure(ring, ring.mul_table[list(gens)].ravel())
-            assert ideal_generated(ring, gens).elements == tuple(int(x) for x in expected), gens
+            assert np.array_equal(ideal_generated(ring, gens).elements, expected), gens
 
 
 def _lattice_pools(z6, e1):
@@ -359,11 +359,11 @@ def _lattice_pools(z6, e1):
     flat = build_spec({"kind": "monomialQuotient", "m": 2, "v": 3, "relations": [], "d": 1})
     return [
         (z6, range(6)),
-        (z6, zero_divisors(z6).elements),
-        (e1, zero_divisors(e1).elements),
-        (xn, homogeneous_elements(xn_grading).elements),
-        (prod, [z for z in zero_divisors(prod).elements if z != prod.zero]),
-        (flat, zero_divisors(flat).elements),
+        (z6, zero_divisors(z6)),
+        (e1, zero_divisors(e1)),
+        (xn, homogeneous_elements(xn_grading)),
+        (prod, [z for z in zero_divisors(prod).tolist() if z != prod.zero]),
+        (flat, zero_divisors(flat)),
     ]
 
 
@@ -374,9 +374,9 @@ def test_ideal_lattice_matches_subset_closures(z6, e1):
     for ring, pool in _lattice_pools(z6, e1):
         first: dict[tuple, tuple] = {}
         for subset in subset_stream(pool):
-            first.setdefault(ideal_generated(ring, subset).elements, subset)
+            first.setdefault(tuple(ideal_generated(ring, subset).elements.tolist()), subset)
         lattice = list(ideal_lattice(ring, pool))
-        assert [i.elements for i in lattice] == list(first), ring
+        assert [tuple(i.elements.tolist()) for i in lattice] == list(first), ring
         assert [i.generators for i in lattice] == list(first.values()), ring
         for ideal in lattice:
             ideal.validate()  # an ideal, and the closure of its generators
@@ -386,8 +386,8 @@ def test_ideal_lattice_matches_subset_closures(z6, e1):
 
 def test_partition_law_units_vs_zero_divisors(z4, z6, e1):
     for ring in (z4, z6, e1):
-        u = set(units(ring).elements)
-        z = set(zero_divisors(ring).elements)
+        u = set(units(ring).tolist())
+        z = set(zero_divisors(ring).tolist())
         assert u | z == set(range(ring.order))
         assert not (u & z)
 
@@ -399,8 +399,8 @@ def test_annihilator_antitone(z6, e1, data):
     small = data.draw(st.sets(st.integers(0, ring.order - 1), max_size=3))
     extra = data.draw(st.sets(st.integers(0, ring.order - 1), max_size=3))
     big = small | extra
-    ann_small = set(annihilator(ring, small).elements)
-    ann_big = set(annihilator(ring, big).elements)
+    ann_small = set(annihilator(ring, small).elements.tolist())
+    ann_big = set(annihilator(ring, big).elements.tolist())
     assert ann_big <= ann_small
 
 
@@ -411,7 +411,7 @@ def test_divisor_solutions_coset_size(z6, e1, data):
     c = data.draw(st.integers(0, ring.order - 1))
     a = data.draw(st.integers(0, ring.order - 1))
     sols = divisor_solutions(ring, c, a)
-    if sols.elements:
+    if len(sols):
         assert len(sols) == len(annihilator(ring, [c]))
 
 
@@ -424,15 +424,50 @@ def test_ideal_operations_return_valid_ideals(z6, e1, data):
     ideal.validate()
     # idempotence: regenerating from the element list changes nothing
     again = ideal_generated(ring, ideal.elements)
-    assert again.elements == ideal.elements
+    assert np.array_equal(again.elements, ideal.elements)
     ann = annihilator(ring, gens)
     ann.validate()
 
 
-def test_element_set_canonical_form(z4):
-    es = ElementSet(z4, (3, 1, 3, 0))
-    assert es.elements == (0, 1, 3)
-    assert 3 in es and 2 not in es
+def test_element_ids_canonical_form(z4):
+    ids = element_ids(z4, (3, 1, 3, 0))
+    assert ids.tolist() == [0, 1, 3] and ids.dtype == np.int64
+    assert 3 in ids and 2 not in ids
+    with pytest.raises(ValueError):
+        ids[0] = 2
+    for bad in ([4], [-1], [2**70]):
+        with pytest.raises(ValueError, match="element id out of range for order 4"):
+            element_ids(z4, bad)
+
+
+def _assert_id_set(ids, order):
+    assert isinstance(ids, np.ndarray) and ids.dtype == np.int64 and not ids.flags.writeable
+    assert (np.diff(ids) > 0).all() and (len(ids) == 0 or 0 <= ids[0] <= ids[-1] < order)
+
+
+@pytest.mark.parametrize("name", [n for n in PRESETS if n != "e2-trunc-d2"])
+def test_every_returned_set_is_an_ascending_read_only_id_array(name):
+    """Every set of elements the library returns is one ascending,
+    duplicate-free, read-only int64 array, on every preset of order <= 216;
+    a lattice ideal's elements, shared with the principal-ideal cache,
+    reject writes."""
+    ring, grading = build_preset(name)
+    assert ring.order <= 216
+    sets = [zero_divisors(ring), regular_elements(ring), units(ring), idempotents(ring),
+            homogeneous_elements(grading), *grading.support.values(),
+            annihilator(ring, []).elements]
+    for c in range(min(ring.order, 8)):
+        sets += [divisor_solutions(ring, c, ring.mul(c, c)), divisor_solutions(ring, c, ring.one),
+                 ideal_generated(ring, [c, ring.order - 1 - c]).elements,
+                 annihilator(ring, [c]).elements]
+    lattice = [ideal for _, pool in component_zero_divisors(grading)
+               for ideal in ideal_lattice(ring, pool, max_gens=2)]
+    sets += [ideal.elements for ideal in lattice]
+    for ids in sets:
+        _assert_id_set(ids, ring.order)
+    for ideal in lattice:
+        with pytest.raises(ValueError):
+            ideal.elements[0] = ideal.elements[-1]
 
 
 def test_interchange_round_trip(z6):

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -7,12 +8,13 @@ from unittest import mock
 import pytest
 
 import emrings.theorems as theorems
-from emrings.analysis import PropertyReport, SearchCaps
+from emrings.analysis import PropertyReport, SearchCaps, is_em_g_graded
 from emrings.construct import (
     build_spec,
     cyclic,
     digit_ids,
     direct_product,
+    group_ring,
     idealization,
     localization,
     poly_quotient_xn,
@@ -27,6 +29,8 @@ from emrings.grading import (
 )
 from emrings.presets import PRESETS, build_preset, preset_corpus
 from emrings.rings import idempotents, ideal_lattice, zero_divisors
+
+import oracles
 from emrings.theorems import (
     CorpusEntry,
     _biconditional,
@@ -129,6 +133,76 @@ def test_t6_decides_factors_under_the_projected_grading():
     assert rows["t6@Z3xZ3"].bounds == {"skipped": "grading is not a product of its projections"}
 
 
+def _t6_products():
+    """(name, ring, grading): prod-e1sm, Z3 x Z3 graded by the diagonal and
+    the antidiagonal, and R x S for every R, S below with |R x S| <= 300,
+    under the trivial grading and, where the factors share a group, the
+    canonical one."""
+    factors = {
+        "Z2": cyclic(2), "Z4": cyclic(4), "Z6": cyclic(6),
+        "e1": poly_quotient_xn(cyclic(4), 2, var="Y"), "Z2(+)Z2": idealization(cyclic(2)),
+        "Z2[x]/(x^3)": poly_quotient_xn(cyclic(2), 3), "Z2[Z2]": group_ring(cyclic(2), [2]),
+    }
+    z3 = direct_product([cyclic(3), cyclic(3)])
+    diagonal = Grading(z3, GradingGroup((2,)), {(0,): [0, 4, 8], (1,): [0, 5, 7]})
+    cases = [("prod-e1sm", *build_preset("prod-e1sm")), ("Z3xZ3/diagonal", z3, diagonal)]
+    for (a, r), (b, s) in itertools.product(factors.items(), repeat=2):
+        ring = direct_product([r, s])
+        if ring.order > 300:
+            continue
+        cases.append((f"{a}x{b}/trivial", ring, trivial_grading(ring)))
+        try:
+            cases.append((f"{a}x{b}", ring, canonical_grading(ring)))
+        except ValueError:
+            pass  # factors graded over different groups
+    return cases
+
+
+def test_t6_factor_corners_match_the_projected_gradings():
+    """Every factor identity e_i is homogeneous exactly where the grading is
+    the product of its projections, and then x -> class of e_i*x is a graded
+    isomorphism from factor i, under the projected grading, onto the corner
+    e_iR under its localization grading; so t6's right side, the factors'
+    EM-graded verdicts, is the former one."""
+    cases = _t6_products()
+    skipped = 0
+    for name, ring, grading in cases:
+        projected = oracles.former_projected_gradings(ring, grading)
+        corners = theorems._factor_corners(ring, grading)
+        assert (corners is None) == (projected is None), name
+        skipped += corners is None
+        factors = ring.aux["factors"]
+        for i, (g, corner) in enumerate(zip(projected or [], corners or [])):
+            f, loc = factors[i], corner.ring
+            at_i = digit_ids(ring, [range(h.order) if j == i else [h.zero]
+                                    for j, h in enumerate(factors)])
+            phi = loc.aux["canonical_map"][at_i]
+            assert sorted(phi.tolist()) == list(range(loc.order)), (name, i)
+            for mine, theirs in ((f.add_table, loc.add_table), (f.mul_table, loc.mul_table)):
+                assert (phi[mine] == theirs[phi[:, None], phi[None, :]]).all(), (name, i)
+            assert {k: sorted(phi[ids].tolist()) for k, ids in g.support.items()} == {
+                k: ids.tolist() for k, ids in corner.support.items()
+            }, (name, i)
+            assert is_em_g_graded(f, g).holds == is_em_g_graded(loc, corner).holds, (name, i)
+    assert (len(cases), skipped) == (94, 1)
+
+
+def test_square_zero_extension_is_decided_once_per_entry(monkeypatch):
+    """t8's conclusion and t9's hypothesis share one EM-graded verdict of
+    Z2[X]/(X^2)."""
+    decide, decided = theorems.is_em_g_graded, []
+
+    def counting(ring, grading):
+        decided.append(ring)
+        return decide(ring, grading)
+
+    monkeypatch.setattr(theorems, "is_em_g_graded", counting)
+    rows = _by_name(theorem_suite(preset_corpus(["z2"])))
+    assert rows["t8@z2"].bounds == {"hypothesis": True, "conclusion": True}
+    assert rows["t9@z2"].bounds == {"hypothesis": True, "conclusion": True}
+    assert [r.order for r in decided if r.provenance["kind"] == "polyQuotientXn"] == [4]
+
+
 def test_t11_only_on_idealizations(small_suite):
     rows = _by_name(small_suite)
     assert "t11@e1-idealization" in rows
@@ -150,11 +224,12 @@ def test_l2_lattice_over_zero_divisors_misses_only_r():
         ring, grading = entry.ring, entry.grading
         if ring.order > 64:
             continue
-        zd = zero_divisors(ring).element_set
+        zd = set(zero_divisors(ring).tolist())
         for key in grading.support_keys:
-            pool = [e for e in grading.support[key].elements if e != ring.zero]
-            full = {ideal.elements for ideal in ideal_lattice(ring, pool)}
-            reduced = {ideal.elements for ideal in ideal_lattice(ring, [e for e in pool if e in zd])}
+            pool = [e for e in grading.support[key].tolist() if e != ring.zero]
+            full = {tuple(ideal.elements.tolist()) for ideal in ideal_lattice(ring, pool)}
+            reduced = {tuple(ideal.elements.tolist())
+                       for ideal in ideal_lattice(ring, [e for e in pool if e in zd])}
             if any(e not in zd for e in pool):
                 reduced.add(tuple(range(ring.order)))
             assert full == reduced, (entry.name, key)
@@ -168,9 +243,7 @@ def test_t4_localizes_at_each_homogeneous_idempotent_but_one(monkeypatch, name, 
     """t4 localizes at {1, e} for each nonzero homogeneous idempotent e != 1
     in ascending id order, and at nothing else: the proper corners eR.  e = 1
     would give R itself, whose verdict is the row's hypothesis (prod-e1sm's 1
-    has id 5)."""
-    import emrings.theorems as theorems
-
+    has id 5).  The localizations of t6's factor corners are not recorded."""
     seen = []
 
     def recording(ring, grading, s):
@@ -178,13 +251,21 @@ def test_t4_localizes_at_each_homogeneous_idempotent_but_one(monkeypatch, name, 
         seen.append((set(s), loc.order))
         return loc
 
+    factor_corners = theorems._factor_corners
+
+    def unrecorded(ring, grading):
+        with monkeypatch.context() as m:
+            m.setattr(theorems, "localization", localization)
+            return factor_corners(ring, grading)
+
     monkeypatch.setattr(theorems, "localization", recording)
+    monkeypatch.setattr(theorems, "_factor_corners", unrecorded)
     entry = preset_corpus([name])[0]
     rows = _by_name(theorem_suite([entry]))
     assert rows[f"t4@{name}"].bounds == {"hypothesis": True, "conclusion": True}
-    ring, hom = entry.ring, homogeneous_elements(entry.grading).element_set
+    ring, hom = entry.ring, set(homogeneous_elements(entry.grading).tolist())
     expected = [
-        e for e in idempotents(ring).elements if e not in (ring.zero, ring.one) and e in hom
+        e for e in idempotents(ring).tolist() if e not in (ring.zero, ring.one) and e in hom
     ]
     assert [s for s, _ in seen] == [{ring.one, e} for e in expected]
     assert [order for _, order in seen] == orders
