@@ -377,10 +377,52 @@ def is_em_g_graded(ring: FiniteRing, grading: Grading) -> PropertyReport:
 # materializes all.  A graded factor's pools are no larger than R's.
 ARMENDARIZ_TUPLE_CAP = 1 << 20
 
+# Most entries of one batch's temporaries in _armendariz_scan, its Ann(C(f))
+# gather and its candidate matrix, as rings._TILE bounds a tile.  Batches
+# start at one f and double up to this bound, so a scan that fails at its
+# first f does no more work than one f at a time.
+_ARMENDARIZ_BATCH = 1 << 22
+
 
 def _tuple_block(pool: Sequence[int], length: int) -> np.ndarray:
     """All coefficient tuples over pool, ascending in mixed-radix order."""
     return np.fromiter(pool, dtype=np.int64)[_decode_all([len(pool)] * length)]
+
+
+def _first_failing_pair(
+    ring: FiniteRing, F: np.ndarray, Gt: np.ndarray, triangle: bool, degree: int
+) -> Optional[tuple[int, int]]:
+    """(r, c) of the first pair, row-major, of f = F[r] and g = Gt[:, c]
+    with fg = 0 and some a_i b_j nonzero, or None; ``triangle`` keeps only
+    c >= r.  Gt holds one g per column."""
+    zero, n = ring.zero, ring.order
+    mul_flat, add_flat = ring.mul_table.ravel(), ring.add_table.ravel()
+    # row r of ann is Ann(C(F[r])); a pair is a candidate when some b_j
+    # lies outside it, that is when some a_i b_j is nonzero
+    ann = (ring.mul_table[F] == zero).all(axis=1)
+    cand = ~ann[:, Gt].all(axis=1)
+    if triangle and len(F) > 1:
+        cand = np.triu(cand)
+    pairs = np.flatnonzero(cand)
+    if not len(pairs):
+        return None
+    rows, cols = np.divmod(pairs, cand.shape[1])
+    # offsets of f's coefficients into the flattened tables; a coefficient
+    # that is zero in every f of the batch adds no term
+    offsets = np.ascontiguousarray(F.T) * n
+    live = (F != zero).any(axis=0)
+    for k in range(2 * degree + 1):
+        acc = None
+        for i in range(max(0, k - degree), min(degree, k) + 1):
+            if live[i]:
+                term = mul_flat[offsets[i][rows] + Gt[k - i][cols]]
+                acc = term if acc is None else add_flat[np.multiply(acc, n, dtype=np.intp) + term]
+        if acc is not None:
+            keep = acc == zero
+            rows, cols = rows[keep], cols[keep]
+        if not len(rows):
+            return None
+    return int(rows[0]), int(cols[0])
 
 
 def _armendariz_scan(
@@ -392,32 +434,27 @@ def _armendariz_scan(
 
     ``blocks`` pairs a tag (component key or None) with a tuple array; pairs
     are scanned across block pairs in order, f-major, g >= f inside one block.
-    For each f, Ann(C(f)) keeps the g with some a_i b_j nonzero and one
-    convolution over those finds fg = 0 (README, Armendariz acceptance); the
-    witness is the first such g with its first nonzero (i, j), row-major.
+    Each step takes a batch of consecutive f and keeps, in scan order, the
+    pairs that fail (README, Armendariz acceptance); the witness is the
+    first of them, with its first nonzero (i, j), row-major.
     """
-    zero = ring.zero
+    width = degree + 1
+    columns = [np.ascontiguousarray(Q.T) for _, Q in blocks]
     for bi, (tag_f, P) in enumerate(blocks):
         for bj in range(bi, len(blocks)):
             tag_g, Q = blocks[bj]
-            for fi, frow in enumerate(P):
-                lo = fi if bj == bi else 0
-                ann = (ring.mul_table[frow] == zero).all(axis=0)
-                idx = lo + np.flatnonzero(~ann[Q[lo:]].all(axis=1))
-                cand = Q[idx]
-                prod_zero = np.ones(len(idx), dtype=bool)
-                for k in range(2 * degree + 1):
-                    if not prod_zero.any():
-                        break
-                    acc = np.full(len(idx), zero, dtype=np.int64)
-                    for i in range(max(0, k - degree), min(degree, k) + 1):
-                        term = ring.mul_table[frow[i], cand[:, k - i]].astype(np.int64)
-                        acc = ring.add_table[acc, term].astype(np.int64)
-                    prod_zero &= acc == zero
-                bad = idx[prod_zero]
-                if len(bad):
-                    grow = Q[bad[0]]
-                    i, j = np.argwhere(ring.mul_table[np.ix_(frow, grow)] != zero)[0]
+            start, size = 0, 1
+            while start < len(P):
+                # inside one block g >= f, so g starts at the batch's first f
+                lo = start if bj == bi else 0
+                cap = _ARMENDARIZ_BATCH // (width * (len(Q) - lo + ring.order))
+                size = max(1, min(size, cap))
+                hit = _first_failing_pair(
+                    ring, P[start : start + size], columns[bj][:, lo:], bj == bi, degree
+                )
+                if hit is not None:
+                    frow, grow = P[start + hit[0]], Q[lo + hit[1]]
+                    i, j = np.argwhere(ring.mul_table[np.ix_(frow, grow)] != ring.zero)[0]
                     return {
                         "f": [int(x) for x in frow],
                         "g": [int(x) for x in grow],
@@ -426,8 +463,10 @@ def _armendariz_scan(
                         "component_f": None if tag_f is None else list(tag_f),
                         "component_g": None if tag_g is None else list(tag_g),
                         "nonzero_product_at": [int(i), int(j)],
-                        "g_index": int(bad[0]),
+                        "g_index": lo + hit[1],
                     }
+                start += size
+                size *= 2
     return None
 
 

@@ -226,9 +226,14 @@ def _entry_rows(entry: CorpusEntry, armendariz_degree: Optional[int]) -> list[Pr
     # t10: idempotent annihilators of homogeneous elements -> EM-graded
     rows.append(_implication("t10", entry, lambda: check_t10_condition(grading)[0], em_graded))
 
-    # t11 / c7: idealization entries R(+)R with the canonical Z2-grading
+    # t11 / c7: idealization entries R(+)R graded by R(+)0 and 0(+)R, the
+    # grading the catalog states both rows for; any other grading skips them
     if (ring.provenance or {}).get("kind") == "idealization":
         base: FiniteRing = ring.aux["base"]
+        halves = [
+            digit_ids(ring, [base.elements(), [base.zero]]).tolist(),
+            digit_ids(ring, [[base.zero], base.elements()]).tolist(),
+        ]
 
         def faithful() -> bool:
             return len(annihilator(base, range(base.order))) == 1
@@ -236,8 +241,13 @@ def _entry_rows(entry: CorpusEntry, armendariz_degree: Optional[int]) -> list[Pr
         def base_em() -> bool:
             return is_em_ring(base).holds
 
-        rows.append(_implication("t11", entry, lambda: faithful() and em_graded(), base_em))
-        rows.append(_biconditional("c7", entry, base_em, em_graded))
+        if sorted(ids.tolist() for ids in grading.support.values()) == sorted(halves):
+            rows.append(_implication("t11", entry, lambda: faithful() and em_graded(), base_em))
+            rows.append(_biconditional("c7", entry, base_em, em_graded))
+        else:
+            marker = "grading is not R(+)0, 0(+)R"
+            rows.extend(_implication(tag, entry, lambda: None, None, skip=marker)
+                        for tag in ("t11", "c7"))
 
     # l1: under the component hypotheses, regular tuples of R_e stay regular in R
     rows.append(_implication(

@@ -400,51 +400,116 @@ def test_armendariz_examples(z4, e1, e1_grading):
     assert is_armendariz(z4, 1).holds
 
 
-def _loop_oracle_report(monkeypatch, decide) -> dict:
-    """``decide()``'s report with the per-product loop in place of the
-    Ann(C(f)) mask scan."""
-    import emrings.analysis as analysis
-
-    with monkeypatch.context() as m:
-        m.setattr(analysis, "_armendariz_scan", armendariz_scan_loop)
-        return decide().to_dict(timing=False)
-
-
-@pytest.mark.parametrize("name", preset_names())
-def test_armendariz_graded_matches_loop_oracle(name, monkeypatch):
-    # t3's degree, except e2-trunc-d1 at 2: the loop needs about 60 s at 3
-    ring, grading = build_preset(name)
-    degree = 3 if ring.order <= 300 and name != "e2-trunc-d1" else 2
-    decide = functools.partial(is_armendariz_g_graded, ring, grading, degree)
-    assert decide().to_dict(timing=False) == _loop_oracle_report(monkeypatch, decide)
-
-
-def test_armendariz_ungraded_matches_loop_oracle(monkeypatch, e1):
-    cases = [functools.partial(is_armendariz_g_graded, e1, trivial_grading(e1), 1)]
-    for name in preset_names():
-        ring, _ = build_preset(name)
-        if ring.order <= 64:
-            cases.append(functools.partial(is_armendariz, ring, 2))
-    verdicts = set()
-    for decide in cases:
-        report = decide().to_dict(timing=False)
-        assert report == _loop_oracle_report(monkeypatch, decide)
-        verdicts.add(report["verdict"])
-    # the trivial grading puts all of e1 in one component: a false witness
-    # on the graded path
-    assert cases[0]().verdict == "false"
-    assert verdicts == {"false", "true_up_to_bounds"}
-
-
-# -- Armendariz on the graded factors eR
-
-
 def _outcome(decide):
     """``decide()``'s report, or the message of the ValueError it raised."""
     try:
         return decide().to_dict(timing=False)
     except ValueError as err:
         return f"refused: {err}"
+
+
+def _batched(batch):
+    """_armendariz_scan under the batch bound ``batch(ring, blocks, degree)``."""
+    scan = analysis._armendariz_scan
+
+    def wrapped(ring, blocks, degree):
+        with mock.patch.object(analysis, "_ARMENDARIZ_BATCH", batch(ring, blocks, degree)):
+            return scan(ring, blocks, degree)
+
+    return wrapped
+
+
+def _three_f_bound(ring, blocks, degree) -> int:
+    longest = max((len(Q) for _, Q in blocks), default=0)
+    return 3 * (degree + 1) * (ring.order + longest)
+
+
+_SCANS = {
+    # a bound below one f's temporaries: every f is its own batch
+    "one f a batch": _batched(lambda ring, blocks, degree: 1),
+    # the longest block's batches stop at three f, where the doubling would
+    # take four: the block splits mid-way, at edges the g >= f triangle crosses
+    "three f a batch": _batched(_three_f_bound),
+    "loop oracle": armendariz_scan_loop,
+}
+
+
+def _assert_batchings_agree(*decides, oracle=True) -> list:
+    """Each decider's report (or refusal) is the same under the default
+    batch bound, under both bounds of ``_SCANS`` and, with ``oracle``, with
+    the per-product loop; returns the reports."""
+    reports = [_outcome(decide) for decide in decides]
+    for name, scan in _SCANS.items():
+        if oracle or scan is not armendariz_scan_loop:
+            with mock.patch.object(analysis, "_armendariz_scan", scan):
+                assert [_outcome(decide) for decide in decides] == reports, name
+    return reports
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_armendariz_graded_matches_loop_oracle(name):
+    """At t3's degree, graded and trivially graded, across batch edges.
+    Trivially graded, z4-xn-3 scans 2^20 tuples, on which the loop takes
+    about 23 s: there only the batch bounds are compared, and the loop
+    checks the same scan at degree 2 in the ungraded test below."""
+    ring, grading = build_preset(name)
+    degree = 3 if ring.order <= 300 else 2
+    graded = functools.partial(is_armendariz_g_graded, ring, grading, degree)
+    trivial = functools.partial(is_armendariz_g_graded, ring, trivial_grading(ring), degree)
+    if name == "z4-xn-3":
+        _assert_batchings_agree(graded)
+        _assert_batchings_agree(trivial, oracle=False)
+    else:
+        _assert_batchings_agree(graded, trivial)
+
+
+def test_armendariz_ungraded_matches_loop_oracle(e1):
+    cases = [functools.partial(is_armendariz_g_graded, e1, trivial_grading(e1), 1)]
+    for name in preset_names():
+        ring, _ = build_preset(name)
+        if ring.order <= 64:
+            cases.append(functools.partial(is_armendariz, ring, 2))
+    reports = _assert_batchings_agree(*cases)
+    # the trivial grading puts all of e1 in one component: a false witness
+    # on the graded path
+    assert reports[0]["verdict"] == "false"
+    assert {report["verdict"] for report in reports} == {"false", "true_up_to_bounds"}
+
+
+def test_three_f_batches_split_a_block_mid_way(monkeypatch):
+    """The bound of "three f a batch" cuts z4-xn-3's whole-ring block into
+    batches of 1, 2 and then 3 f, not the doubling's 1, 2, 4."""
+    ring, _ = build_preset("z4-xn-3")
+    sizes = []
+    pair = analysis._first_failing_pair
+    monkeypatch.setattr(analysis, "_first_failing_pair",
+                        lambda ring, F, *rest: sizes.append(len(F)) or pair(ring, F, *rest))
+    monkeypatch.setattr(analysis, "_armendariz_scan", _SCANS["three f a batch"])
+    assert is_armendariz(ring, 1).verdict == "false"
+    assert sizes[:4] == [1, 2, 3, 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_armendariz_batch_edges_on_generated_rings(data):
+    """Generated construction documents of order at most 64, ungraded and
+    under their canonical grading (where it exists) and the trivial one, at
+    degree 1 or 2 up to order 16 and 1 above."""
+    doc, order = oracles.construction_document(data.draw, 64)
+    ring = build_spec(doc)
+    degree = data.draw(st.integers(1, 2 if order <= 16 else 1))
+    try:
+        gradings = [canonical_grading(ring)]
+    except ValueError:
+        gradings = []
+    _assert_batchings_agree(
+        functools.partial(is_armendariz, ring, degree),
+        *(functools.partial(is_armendariz_g_graded, ring, grading, degree)
+          for grading in [*gradings, trivial_grading(ring)]),
+    )
+
+
+# -- Armendariz on the graded factors eR
 
 
 def _assert_matches_whole_ring(*decides) -> list:
@@ -459,7 +524,7 @@ def _assert_matches_whole_ring(*decides) -> list:
 @pytest.mark.parametrize("name", preset_names())
 def test_armendariz_factors_match_whole_ring_on_presets(name):
     """At t3's degree.  Ungraded, z4-xn-3 (local, so one path either way:
-    6.7 s a scan) and prod-e1sm (40 s for the whole-ring scan) run at
+    1.4 s a scan) and prod-e1sm (8 s for the whole-ring scan) run at
     degree 2."""
     ring, grading = build_preset(name)
     degree = 3 if ring.order <= 300 else 2

@@ -209,6 +209,24 @@ def test_t11_only_on_idealizations(small_suite):
     assert "t11@z6" not in rows
 
 
+def test_t11_and_c7_skip_idealizations_under_another_grading():
+    """The catalog states both rows for the grading R(+)0, 0(+)R only.
+    Under the trivial grading Z4(+)Z4 is not EM-graded while Z4 is EM, so
+    run there c7 would report false with sides [true, false]."""
+    ring = idealization(cyclic(4))
+    entries = [
+        CorpusEntry("Z4(+)Z4/trivial", ring, trivial_grading(ring)),
+        CorpusEntry("Z4(+)Z4", ring, canonical_grading(ring)),
+    ]
+    rows = _by_name(theorem_suite(entries))
+    assert suite_failures(list(rows.values())) == []
+    marker = {"skipped": "grading is not R(+)0, 0(+)R"}
+    assert rows["t11@Z4(+)Z4/trivial"].bounds == marker
+    assert rows["c7@Z4(+)Z4/trivial"].bounds == marker
+    assert rows["c7@Z4(+)Z4"].bounds == {"sides": [True, True]}
+    assert rows["t11@Z4(+)Z4"].bounds == {"hypothesis": True, "conclusion": True}
+
+
 def test_suite_deterministic_across_jobs():
     entries = preset_corpus(["z6", "e1"])
     a = theorem_suite(entries, SearchCaps(jobs=1))
