@@ -192,15 +192,15 @@ def _report(
 # -- candidate machinery -------------------------------------------------------
 
 
-def _candidate_data(ring: FiniteRing) -> tuple[np.ndarray, list[list[int]]]:
+def _candidate_data(ring: FiniteRing) -> tuple[np.ndarray, list[list[int]], np.ndarray]:
     """The distinct principal ideals cR over c in Z(R)\\{0}, one row each,
     in ascending order of their smallest generator.
 
     Returns their membership masks (row r marks c_r * R, so step (1) of the
-    content search is one vectorized lookup) and the generators of each
-    ideal, ascending: the c sharing one least unit multiple
-    (rings._generator_min).  They are associates, so they all accept or all
-    fail (README, principal-class reduction).
+    content search is one vectorized lookup), the generators of each ideal,
+    ascending: the c sharing one least unit multiple
+    (rings._generator_min), and each row's |Ann(c)| = N / |cR|.  Associates
+    all accept or all fail (README, principal-class reduction).
     """
     cached = ring._cache.get("content_candidates")
     if cached is None:
@@ -210,7 +210,7 @@ def _candidate_data(ring: FiniteRing) -> tuple[np.ndarray, list[list[int]]]:
         div = np.zeros((len(classes), ring.order), dtype=bool)
         for row, group in zip(div, classes):
             row[ring.mul_table[group[0]]] = True
-        cached = (div, classes)
+        cached = (div, classes, ring.order // np.count_nonzero(div, axis=1))
         ring._cache["content_candidates"] = cached
     return cached
 
@@ -268,40 +268,31 @@ def find_annihilating_content(
 
     Scans the distinct principal ideals cR, c in Z(R)\\{0}, in ascending
     order of their smallest generator c, and tests only that c: (1) every
-    coefficient must lie in c*R, (2) take the smallest representative b_i
-    of each divisor equation c*b = a_i, (3) accept iff
-    Ann({b_i} u Ann(c)) = {0}, returning the cofactor g made of the b_i plus
-    all of Ann(c)\\{0} appended at higher degrees.  Associates accept
-    together (README, principal-class reduction), so the first accepted c
-    is the smallest accepted zero divisor.  When a grading is supplied,
-    ``homogeneous_c`` is the smallest homogeneous generator of an accepted
-    cR.  Returns None only after exhausting every class.
+    coefficient must lie in c*R and |Ann(c)| must equal |Ann(S)|, S the
+    coefficient set, (2) take the smallest representative b_i of each
+    divisor equation c*b = a_i, (3) accept iff Ann({b_i} u Ann(c)) = {0},
+    returning the cofactor g made of the b_i plus all of Ann(c)\\{0}
+    appended at higher degrees.  An accepted c has Ann(c) = Ann(S), so the
+    size test in (1) drops only classes that fail (3) (README, annihilator
+    prune).  Associates accept together (README, principal-class
+    reduction), so the first accepted c is the smallest accepted zero
+    divisor.  When a grading is supplied, ``homogeneous_c`` is the smallest
+    homogeneous generator of an accepted cR.  Returns None only after
+    exhausting every class.
     """
-    if not is_zero_divisor_poly(f)[0]:
-        raise ValueError("content search requires a zero-divisor polynomial")
+    if f.is_zero:
+        raise ValueError("the zero polynomial is excluded from zero-divisor queries")
     ring = f.ring
-    div, classes = _candidate_data(ring)
-    support = sorted(set(c for c in f.coeffs if c != ring.zero))
-    viable = np.flatnonzero(div[:, support].all(axis=1))
-
-    # the winning candidate depends only on the coefficient set (acceptance is
-    # representative-invariant), so memoize it per ring
-    set_cache = ring._cache.setdefault("content_by_set", {})
-    key = frozenset(support)
-    if key in set_cache:
-        c = set_cache[key]
-        if c is None:
-            return None
-        reps = _try_candidate(ring, f.coeffs, c)
-        if reps is None:
-            raise InternalInvariantError("cached content candidate stopped working")
-    else:
-        hit = first_hit((classes[k][0] for k in viable), lambda c: _try_candidate(ring, f.coeffs, c))
-        if hit is None:
-            set_cache[key] = None
-            return None
-        c, reps = hit
-        set_cache[key] = c
+    ann_size = np.count_nonzero(annihilator_mask(ring, set(f.coeffs)))
+    if ann_size == 1:
+        raise ValueError("content search requires a zero-divisor polynomial")
+    div, classes, ann_sizes = _candidate_data(ring)
+    support = sorted(set(f.coeffs) - {ring.zero})
+    viable = np.flatnonzero((ann_sizes == ann_size) & div[:, support].all(axis=1))
+    hit = first_hit((classes[k][0] for k in viable), lambda c: _try_candidate(ring, f.coeffs, c))
+    if hit is None:
+        return None
+    c, reps = hit
     homogeneous_c = None
     if grading is not None:
         later = [classes[k] for k in viable if classes[k][0] >= c]
@@ -317,11 +308,9 @@ def find_annihilating_content(
 def _em_failure(ring: FiniteRing, ideal) -> Optional[dict]:
     """Witness that the ideal's generators, taken as coefficients, give a
     zero-divisor polynomial with no annihilating content; else None."""
-    mask = annihilator_mask(ring, ideal.generators)
-    mask[ring.zero] = False
-    if not mask.any():
-        return None  # jointly regular coefficients: not a zero-divisor poly
     f = Polynomial(ring, ideal.generators)
+    if not is_zero_divisor_poly(f)[0]:
+        return None  # jointly regular coefficients
     if find_annihilating_content(f) is not None:
         return None
     return {

@@ -13,6 +13,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 from hypothesis import strategies as st
 
+from emrings import analysis
 from emrings.construct import monomial_basis
 from emrings import grading as grading_module
 from emrings.grading import (
@@ -942,3 +943,44 @@ def former_gather(table: np.ndarray, x, y) -> np.ndarray:
     raveled table.  The flat index ``x * r + y`` is formed in intp: in the
     table's uint16 it would wrap once r^2 > 65535."""
     return table.ravel().take(np.multiply(x, table.shape[1], dtype=np.intp) + y)
+
+
+# -- the content search before the annihilator prune: it tries every class
+# whose principal ideal holds the coefficients
+
+
+def unpruned_content(f, grading=None) -> Optional[tuple[int, Optional[int], tuple[int, ...]]]:
+    """(c, homogeneous_c, cofactor coefficients) of the first accepted class
+    among all classes cR that hold every coefficient of ``f``, or None.
+
+    Candidates are tried through ``analysis._try_candidate``, looked up at
+    call time, so a test can count the calls.  ``homogeneous_c`` is None
+    without a grading, as in the library.
+    """
+    ring = f.ring
+
+    def accepts(c):
+        return analysis._try_candidate(ring, f.coeffs, c)
+
+    div, classes, _ = analysis._candidate_data(ring)
+    support = sorted(set(f.coeffs) - {ring.zero})
+    viable = [classes[k] for k in np.flatnonzero(div[:, support].all(axis=1))]
+    for at, members in enumerate(viable):
+        reps = accepts(members[0])
+        if reps is not None:
+            break
+    else:
+        return None
+    c = members[0]
+    tail = [int(w) for w in np.flatnonzero(ring.mul_table[c] == ring.zero) if w != ring.zero]
+    homogeneous_c = None
+    if grading is not None and grading.degree_of(c) is not None:
+        homogeneous_c = c
+    elif grading is not None:
+        firsts = []
+        for members in viable[at:]:
+            h = next((g for g in members if grading.degree_of(g) is not None), None)
+            if h is not None:
+                firsts.append((h, members[0]))
+        homogeneous_c = next((h for h, first in sorted(firsts) if accepts(first) is not None), None)
+    return c, homogeneous_c, tuple(reps) + tuple(tail)

@@ -210,17 +210,18 @@ def test_principal_classes_are_associates():
     smallest generator c, and _try_candidate accepts all generators of a
     class or none, on every set of one or two nonzero zero divisors."""
     for name, ring, _ in _oracle_cases():
-        div, classes = _candidate_data(ring)
+        div, classes, ann_sizes = _candidate_data(ring)
         zd = _nonzero_zero_divisors(ring, range(ring.order))
         assert sorted(g for members in classes for g in members) == zd, name
         smallest = [members[0] for members in classes]
         assert smallest == sorted(smallest), name
         unit_ids = units(ring)
         ideals = set()
-        for row, members in zip(div, classes):
+        for row, members, ann_size in zip(div, classes, ann_sizes):
             c = members[0]
             principal = tuple(ideal_generated(ring, [c]).elements.tolist())
             assert tuple(np.flatnonzero(row).tolist()) == principal, (name, c)
+            assert ann_size == len(annihilator(ring, [c])), (name, c)
             assert members == sorted(set(int(x) for x in ring.mul_table[c, unit_ids])), (name, c)
             ideals.add(principal)
         assert len(ideals) == len(classes), name
@@ -233,7 +234,7 @@ def test_principal_classes_are_associates():
 def test_candidate_table_has_one_row_per_principal_ideal():
     """e2-trunc-d2's 5183 nonzero zero divisors generate 138 ideals cR."""
     ring, _ = build_preset("e2-trunc-d2")
-    div, classes = _candidate_data(ring)
+    div, classes, _ = _candidate_data(ring)
     assert div.shape == (138, ring.order)
     assert sum(len(members) for members in classes) == 5183
 
@@ -282,7 +283,7 @@ def _assert_principal_questions_match_keyed_table(ring, grading):
     table keyed by membership bits.  Rings above order 1024 stop the
     lattice at two generators, and above 4096 at one."""
     assert np.array_equal(_generator_min(ring), oracles.keyed_generator_min(ring))
-    div, classes = _candidate_data(ring)
+    div, classes, _ = _candidate_data(ring)
     keyed_div, keyed_classes = oracles.keyed_candidate_data(ring)
     assert classes == keyed_classes
     assert np.array_equal(div, keyed_div)
@@ -384,6 +385,137 @@ def test_content_monotone_in_coefficient_set(e1):
             continue
         bigger = sorted(set(f.coeffs) | {extras[0]})
         assert _try_candidate(e1, tuple(bigger), c) is not None
+
+
+def _annihilated_sets(ring, rng, count):
+    """``count`` coefficient tuples, each 1 to 4 draws from Ann(t)\\{0} for a
+    random nonzero zero divisor t, in a random order: every polynomial made
+    from one is a zero divisor."""
+    zd = _nonzero_zero_divisors(ring, range(ring.order))
+    sets = []
+    for _ in range(count):
+        ann = np.flatnonzero(table_annihilator(ring, [zd[rng.integers(len(zd))]]))
+        drawn = {int(a) for a in rng.choice(ann[ann != ring.zero], size=int(rng.integers(1, 5)))}
+        sets.append(tuple(int(a) for a in rng.permutation(sorted(drawn))))
+    return sets
+
+
+def _content_answer(ring, coeffs, grading):
+    """find_annihilating_content's (c, homogeneous_c, cofactor), or None."""
+    w = find_annihilating_content(polynomial(ring, coeffs), grading)
+    return None if w is None else (w.c, w.homogeneous_c, w.g.coeffs)
+
+
+def _unpruned_answer(ring, coeffs, grading):
+    hit = oracles.unpruned_content(polynomial(ring, coeffs), grading)
+    return None if hit is None else (hit[0], hit[1], polynomial(ring, hit[2]).coeffs)
+
+
+def _assert_prune_matches_unpruned(name, ring, grading, sets):
+    """The pruned search gives the unpruned scan's c, homogeneous_c and g,
+    graded and ungraded, and _try_candidate rejects every class the prune
+    drops: those whose ideal holds the coefficients but whose |Ann(c)|
+    differs from |Ann(S)|."""
+    div, classes, ann_sizes = _candidate_data(ring)
+    for coeffs in sets:
+        for g in (grading, None):
+            assert _content_answer(ring, coeffs, g) == _unpruned_answer(ring, coeffs, g), (
+                name, coeffs, g is None)
+        dropped = div[:, list(coeffs)].all(axis=1) & (
+            ann_sizes != table_annihilator(ring, coeffs).sum())
+        for k in np.flatnonzero(dropped):
+            assert _try_candidate(ring, coeffs, classes[k][0]) is None, (name, coeffs, k)
+
+
+@pytest.mark.parametrize("name", [n for n in PRESETS if n not in ("z2", "z3", "z5")])
+def test_annihilator_prune_matches_unpruned_scan_on_presets(name):
+    """Every preset with a nonzero zero divisor (z2, z3 and z5 are fields)."""
+    ring, grading = build_preset(name)
+    sets = _annihilated_sets(ring, np.random.default_rng(ring.order), 40)
+    _assert_prune_matches_unpruned(name, ring, grading, sets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_annihilator_prune_matches_unpruned_scan_on_generated_rings(data):
+    """Generated construction documents of order at most 64."""
+    doc, _ = oracles.construction_document(data.draw, 64)
+    ring, grading = _graded(build_spec(doc))
+    if not _nonzero_zero_divisors(ring, range(ring.order)):
+        return  # a field or the zero ring: no zero-divisor polynomial
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    _assert_prune_matches_unpruned(str(doc), ring, grading, _annihilated_sets(ring, rng, 10))
+
+
+def test_annihilator_prune_tries_a_tenth_of_the_candidates(monkeypatch):
+    """On e2-trunc-d2 under its grading, over 200 seeded coefficient sets,
+    the pruned search answers as the unpruned scan does and calls
+    _try_candidate at most a tenth as often (71 against 3624 when written)."""
+    ring, grading = build_preset("e2-trunc-d2")
+    sets = _annihilated_sets(ring, np.random.default_rng(26), 200)
+    calls = [0]
+    real = analysis._try_candidate
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "_try_candidate", counted)
+    got = [_content_answer(ring, coeffs, grading) for coeffs in sets]
+    pruned, calls[0] = calls[0], 0
+    expected = [_unpruned_answer(ring, coeffs, grading) for coeffs in sets]
+    assert got == expected
+    assert any(answer is None for answer in got) and any(answer is not None for answer in got)
+    assert 10 * pruned <= calls[0], (pruned, calls[0])
+
+
+def _square_zero_table(n, p):
+    """Z_n[x]/(px, x^2), p a prime dividing n, as a ring table document:
+    a + bx with a in Z_n and b in Z_p has id a + n*b."""
+    elems = [(a, b) for b in range(p) for a in range(n)]
+    index = {e: i for i, e in enumerate(elems)}
+    add = [[index[(a + c) % n, (b + d) % p] for c, d in elems] for a, b in elems]
+    mul = [[index[a * c % n, (a * d + b * c) % p] for c, d in elems] for a, b in elems]
+    return {"add": add, "mul": mul, "zero": 0, "one": 1}
+
+
+_SQUARE_ZERO_RINGS = {
+    # name: (ring, is the maximal ideal principal)
+    "Z9": (lambda: build_spec({"kind": "cyclic", "n": 9}), True),
+    "Z3[x]/(x^2)": (lambda: build_spec(
+        {"kind": "polyQuotientXn", "base": {"kind": "cyclic", "n": 3}, "n": 2}), True),
+    "Z2[x,y]/(x,y)^2": (lambda: build_spec(
+        {"kind": "monomialQuotient", "m": 2, "v": 2, "relations": [], "d": 1}), False),
+    "Z3[x,y]/(x,y)^2": (lambda: build_spec(
+        {"kind": "monomialQuotient", "m": 3, "v": 2, "relations": [], "d": 1}), False),
+    "Z2[x,y,z]/(x,y,z)^2": (lambda: build_spec(
+        {"kind": "monomialQuotient", "m": 2, "v": 3, "relations": [], "d": 1}), False),
+    "Z4[x]/(x^2,2x)": (lambda: FiniteRing.from_dict(_square_zero_table(4, 2)), False),
+    "Z9[x]/(3x,x^2)": (lambda: FiniteRing.from_dict(_square_zero_table(9, 3)), False),
+}
+
+
+@pytest.mark.parametrize("name", list(_SQUARE_ZERO_RINGS))
+def test_local_square_zero_ring_is_em_iff_its_maximal_ideal_is_principal(name):
+    """A finite local ring (R, m) with m^2 = 0 is EM iff m is principal.
+
+    If m = cR, a zero-divisor polynomial has its coefficients in m, so it is
+    c*g with every nonzero coefficient of g a unit, and g is regular.  If
+    a, b in m are not unit multiples of each other, a + bx is killed by m
+    and has no content: a = c*g_0 and b = c*g_1 force g_0, g_1 to be units,
+    since m^2 = 0.  The expected verdict comes from m alone."""
+    build, principal = _SQUARE_ZERO_RINGS[name]
+    ring = build()
+    m = np.flatnonzero(~(ring.mul_table == ring.one).any(axis=1))  # the nonunits
+    assert np.isin(ring.add_table[np.ix_(m, m)], m).all(), "R is not local"
+    assert (ring.mul_table[np.ix_(m, m)] == ring.zero).all(), "m^2 != 0"
+    assert any(len(set(ring.mul_table[a].tolist())) == len(m) for a in m) == principal
+    report = is_em_ring(ring)
+    assert report.verdict == ("true" if principal else "false"), report.witness
+    if not principal:
+        f = polynomial(ring, report.witness["poly"])
+        assert table_annihilator(ring, f.coeffs).sum() > 1
+        assert find_annihilating_content(f) is None
 
 
 def test_armendariz_examples(z4, e1, e1_grading):
