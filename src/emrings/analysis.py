@@ -2,17 +2,19 @@
 
 The central reductions: a polynomial's zero-divisor status and the existence
 of an annihilating content depend only on the ideal its coefficients
-generate, and for each candidate content c one representative per
-coefficient suffices once all of Ann(c) is appended to the cofactor.  Both
-facts carry oracle tests in the suite (they are proved in the README's
-algorithm notes, then validated against unrestricted brute force).
+generate, and the smallest annihilating content is the first principal
+class cR that holds the coefficients and has |Ann(c)| = |Ann(S)|, with one
+representative per coefficient once all of Ann(c) is appended to the
+cofactor.  Both facts carry oracle tests in the suite (they are proved in
+the README's algorithm notes, then validated against unrestricted brute
+force).
 
 Every decider returns a :class:`PropertyReport` whose false verdicts carry a
 re-checkable counterexample and whose bounded verdicts list the caps used.
 The ideal-lattice deciders share one scan (``_lattice_hit``, over tagged
-pools) and one report (``_report``).  Candidate and ideal scans run
-sequentially in canonical order and stop at the first hit, so verdicts and
-witnesses are deterministic.
+pools) and one report (``_report``).  Ideal scans run sequentially in
+canonical order and stop at the first hit, so verdicts and witnesses are
+deterministic.
 """
 
 from __future__ import annotations
@@ -215,70 +217,23 @@ def _candidate_data(ring: FiniteRing) -> tuple[np.ndarray, list[list[int]], np.n
     return cached
 
 
-def _try_candidate(ring: FiniteRing, coeffs: Sequence[int], c: int) -> Optional[list[int]]:
-    """Steps (2)-(3) for one candidate c: smallest representatives, then the
-    acceptance test Ann({b_i} u Ann(c)) = {0}.  Returns the b_i on success."""
-    row = ring.mul_table[c]
-    hits = row == np.asarray(coeffs)[:, None]
-    if not hits.any(axis=1).all():
-        return None  # some coefficient is not divisible by c
-    reps = [int(b) for b in hits.argmax(axis=1)]
-    ann_c = np.flatnonzero(row == ring.zero)
-    mask = annihilator_mask(ring, set(reps))
-    ts = np.nonzero(mask)[0]
-    ts = ts[ts != ring.zero]
-    if len(ts) == 0:
-        return reps
-    for start in range(0, len(ts), 64):
-        block = ts[start : start + 64]
-        kills = (ring.mul_table[np.ix_(block, ann_c)] == ring.zero).all(axis=1)
-        if kills.any():
-            return None
-    return reps
-
-
-def _witness_polynomial(ring: FiniteRing, c: int, reps: Sequence[int]) -> Polynomial:
-    row = ring.mul_table[c]
-    tail = [int(w) for w in np.nonzero(row == ring.zero)[0] if w != ring.zero]
-    return Polynomial(ring, tuple(reps) + tuple(tail))
-
-
-def _homogeneous_content(
-    ring: FiniteRing, coeffs: Sequence[int], grading: Grading, classes: list[list[int]]
-) -> Optional[int]:
-    """Smallest homogeneous generator over the accepted classes among
-    ``classes``, whose first entry is the class of the content c found."""
-    c = classes[0][0]
-    if grading.degree_of(c) is not None:
-        return c
-    firsts = []
-    for members in classes:
-        h = next((g for g in members if grading.degree_of(g) is not None), None)
-        if h is not None:
-            firsts.append((h, members[0]))
-    hit = first_hit(sorted(firsts), lambda hg: _try_candidate(ring, coeffs, hg[1]))
-    return None if hit is None else hit[0][0]
-
-
 def find_annihilating_content(
     f: Polynomial,
     grading: Optional[Grading] = None,
 ) -> Optional[ContentWitness]:
     """Smallest annihilating content of f in Z(R)\\{0}, with its cofactor.
 
-    Scans the distinct principal ideals cR, c in Z(R)\\{0}, in ascending
-    order of their smallest generator c, and tests only that c: (1) every
-    coefficient must lie in c*R and |Ann(c)| must equal |Ann(S)|, S the
-    coefficient set, (2) take the smallest representative b_i of each
-    divisor equation c*b = a_i, (3) accept iff Ann({b_i} u Ann(c)) = {0},
-    returning the cofactor g made of the b_i plus all of Ann(c)\\{0}
-    appended at higher degrees.  An accepted c has Ann(c) = Ann(S), so the
-    size test in (1) drops only classes that fail (3) (README, annihilator
-    prune).  Associates accept together (README, principal-class
-    reduction), so the first accepted c is the smallest accepted zero
-    divisor.  When a grading is supplied, ``homogeneous_c`` is the smallest
-    homogeneous generator of an accepted cR.  Returns None only after
-    exhausting every class.
+    Looks up the distinct principal ideals cR, c in Z(R)\\{0}, in ascending
+    order of their smallest generator c: (1) keep the classes whose cR holds
+    every coefficient and whose |Ann(c)| equals |Ann(S)|, S the coefficient
+    set; (2) take the first kept c and the smallest representative b_i of
+    each divisor equation c*b = a_i, returning the cofactor g made of the
+    b_i plus all of Ann(c)\\{0} appended at higher degrees.  An accepted c
+    has Ann(c) = Ann(S) (README, annihilator prune), and every kept c
+    accepts, Ann({b_i} u Ann(c)) = {0} (README, acceptance after the prune),
+    so the first kept c is the smallest annihilating content.  When a
+    grading is supplied, ``homogeneous_c`` is the smallest homogeneous
+    generator of a kept cR.  Returns None when no class passes (1).
     """
     if f.is_zero:
         raise ValueError("the zero polynomial is excluded from zero-divisor queries")
@@ -289,15 +244,19 @@ def find_annihilating_content(
     div, classes, ann_sizes = _candidate_data(ring)
     support = sorted(set(f.coeffs) - {ring.zero})
     viable = np.flatnonzero((ann_sizes == ann_size) & div[:, support].all(axis=1))
-    hit = first_hit((classes[k][0] for k in viable), lambda c: _try_candidate(ring, f.coeffs, c))
-    if hit is None:
+    if len(viable) == 0:
         return None
-    c, reps = hit
+    c = classes[viable[0]][0]
+    row = ring.mul_table[c]
+    reps = (row == np.asarray(f.coeffs)[:, None]).argmax(axis=1).tolist()
+    tail = [int(w) for w in np.flatnonzero(row == ring.zero) if w != ring.zero]
     homogeneous_c = None
     if grading is not None:
-        later = [classes[k] for k in viable if classes[k][0] >= c]
-        homogeneous_c = _homogeneous_content(ring, f.coeffs, grading, later)
-    witness = ContentWitness(c=c, g=_witness_polynomial(ring, c, reps), homogeneous_c=homogeneous_c)
+        firsts = (next((g for g in classes[k] if grading.degree_of(g) is not None), None)
+                  for k in viable)
+        homogeneous_c = min((h for h in firsts if h is not None), default=None)
+    g = Polynomial(ring, tuple(reps) + tuple(tail))
+    witness = ContentWitness(c=c, g=g, homogeneous_c=homogeneous_c)
     witness.revalidate(f)
     return witness
 

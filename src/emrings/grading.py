@@ -367,26 +367,42 @@ _VECTOR_DEGREES = {
 
 
 def product_grading(ring: FiniteRing, factor_gradings: Sequence[Grading]) -> Grading:
-    """Componentwise grading of a direct product of same-group graded rings;
-    a factor graded by its identity component alone takes the others' group."""
+    """Componentwise grading of a direct product (README, "Digit-set
+    gradings").  When the graded factors share one group G, the component of
+    sigma has (R_i)_sigma at digit i.  When their groups differ, the product
+    is graded by the product group, their moduli concatenated, and
+    (R_i)_sigma sits at sigma in factor i's coordinates and e elsewhere.  A
+    factor graded by its identity component alone lies in degree e."""
     prov = ring.provenance or {}
     if prov.get("kind") != "product":
         raise ValueError("product_grading needs a direct_product ring")
     if len(factor_gradings) != len(ring.aux["factors"]):
         raise ValueError("one grading per factor required")
-    graded = [g for g in factor_gradings if set(g.support_keys) - {g.group.identity()}]
-    group = (graded or factor_gradings)[0].group
-    if any(g.group != group for g in graded):
-        raise ValueError("factor gradings must share one group")
+    graded = [i for i, g in enumerate(factor_gradings)
+              if set(g.support_keys) - {g.group.identity()}]
+    moduli = [factor_gradings[i].group.moduli for i in graded]
+    if len(set(moduli)) > 1:  # the product group: factor i at its own coordinates
+        group = GradingGroup(sum(moduli, ()))
+        ends = np.cumsum([len(m) for m in moduli]).tolist()
+        spans = {i: (end - len(m), end) for i, m, end in zip(graded, moduli, ends)}
+    else:
+        group = factor_gradings[graded[0] if graded else 0].group
+        spans = {i: (0, len(group.moduli)) for i in graded}
     identity = group.identity()
 
-    def digit_set(g, key):  # a factor of another group lies in degree e
-        if g.group == group:
-            return g.component(key)
-        return g.ring.elements() if key == identity else (g.ring.zero,)
+    def digit_set(i, key):
+        g = factor_gradings[i]
+        if i not in spans:  # graded by its identity component alone: degree e
+            return g.ring.elements() if key == identity else (g.ring.zero,)
+        lo, hi = spans[i]
+        if key[:lo] + key[hi:] != identity[:lo] + identity[hi:]:
+            return (g.ring.zero,)
+        return g.component(key[lo:hi])
 
-    keys = sorted({identity, *(k for g in graded for k in g.support_keys)})
-    digits = [[digit_set(g, key) for g in factor_gradings] for key in keys]
+    keys = sorted({identity, *(identity[:lo] + k + identity[hi:]
+                               for i, (lo, hi) in spans.items()
+                               for k in factor_gradings[i].support_keys)})
+    digits = [[digit_set(i, key) for i in range(len(factor_gradings))] for key in keys]
     return _digit_grading(ring, group, keys, digits)
 
 

@@ -25,7 +25,7 @@ from emrings.grading import (
     trivial_grading,
     validate_grading,
 )
-from emrings.rings import _zero_divisor_mask, units, zero_divisors
+from emrings.rings import _zero_divisor_mask, annihilator_mask, units, zero_divisors
 
 
 def subset_stream(pool: Iterable[int]):
@@ -646,7 +646,9 @@ def truncated_monomial_grading(ring: FiniteRing) -> Grading:
 def product_grading(ring: FiniteRing, factor_gradings: Sequence[Grading]) -> Grading:
     """Componentwise grading of a direct product of same-group graded rings;
     a factor graded by its identity component alone is regraded by the
-    group of the other factors first."""
+    group of the other factors first.  Factors graded over different groups
+    are each regraded over the product group first, their degrees padded
+    with the identity outside their own coordinates."""
     prov = ring.provenance or {}
     if prov.get("kind") != "product":
         raise ValueError("product_grading needs a direct_product ring")
@@ -654,11 +656,19 @@ def product_grading(ring: FiniteRing, factor_gradings: Sequence[Grading]) -> Gra
     radices = ring.aux["radices"]
     if len(factor_gradings) != len(factors):
         raise ValueError("one grading per factor required")
-    nontrivial = [g for g in factor_gradings if len(g.support) > 1
+    nontrivial = [i for i, g in enumerate(factor_gradings) if len(g.support) > 1
                   or any(k != g.group.identity() for k in g.support)]
-    moduli = (nontrivial or factor_gradings)[0].group.moduli
-    if any(g.group.moduli != moduli for g in nontrivial):
-        raise ValueError("factor gradings must share one group")
+    if len({factor_gradings[i].group.moduli for i in nontrivial}) > 1:
+        moduli = sum((factor_gradings[i].group.moduli for i in nontrivial), ())
+        regraded, before = list(factor_gradings), 0
+        for i in nontrivial:
+            g = factor_gradings[i]
+            pad = lambda k: (0,) * before + k + (0,) * (len(moduli) - before - len(k))
+            comps = {pad(k): ids for k, ids in g.support.items()}
+            regraded[i] = validate_grading(Grading(factors[i], GradingGroup(moduli), comps))
+            before += len(g.group.moduli)
+        factor_gradings = regraded
+    moduli = factor_gradings[(nontrivial or [0])[0]].group.moduli
     identity = GradingGroup(moduli).identity()
     factor_gradings = [
         g if g.group.moduli == moduli else validate_grading(
@@ -946,21 +956,40 @@ def former_gather(table: np.ndarray, x, y) -> np.ndarray:
 
 
 # -- the content search before the annihilator prune: it tries every class
-# whose principal ideal holds the coefficients
+# whose principal ideal holds the coefficients, each through the acceptance
+# test the library no longer needs (README, "Acceptance after the prune")
+
+
+def try_candidate(ring, coeffs: Sequence[int], c: int) -> Optional[list[int]]:
+    """The acceptance test for one candidate c: smallest representatives b_i
+    of c*b = a_i, then accept iff Ann({b_i} u Ann(c)) = {0}.  Returns the
+    b_i on success."""
+    row = ring.mul_table[c]
+    hits = row == np.asarray(coeffs)[:, None]
+    if not hits.any(axis=1).all():
+        return None  # some coefficient is not divisible by c
+    reps = [int(b) for b in hits.argmax(axis=1)]
+    ann_c = np.flatnonzero(row == ring.zero)
+    ts = np.flatnonzero(annihilator_mask(ring, set(reps)))
+    ts = ts[ts != ring.zero]
+    for start in range(0, len(ts), 64):
+        block = ts[start : start + 64]
+        if (ring.mul_table[np.ix_(block, ann_c)] == ring.zero).all(axis=1).any():
+            return None
+    return reps
 
 
 def unpruned_content(f, grading=None) -> Optional[tuple[int, Optional[int], tuple[int, ...]]]:
     """(c, homogeneous_c, cofactor coefficients) of the first accepted class
     among all classes cR that hold every coefficient of ``f``, or None.
 
-    Candidates are tried through ``analysis._try_candidate``, looked up at
-    call time, so a test can count the calls.  ``homogeneous_c`` is None
-    without a grading, as in the library.
+    Candidates are tried through ``try_candidate``.  ``homogeneous_c`` is
+    None without a grading, as in the library.
     """
     ring = f.ring
 
     def accepts(c):
-        return analysis._try_candidate(ring, f.coeffs, c)
+        return try_candidate(ring, f.coeffs, c)
 
     div, classes, _ = analysis._candidate_data(ring)
     support = sorted(set(f.coeffs) - {ring.zero})

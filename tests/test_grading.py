@@ -184,11 +184,50 @@ def test_product_grading_regrades_trivially_graded_factor(trivial_first):
             )
 
 
-def test_product_grading_keeps_error_for_different_groups():
-    """Z2[Y]/(Y^2) over Z_2 and Z2[x]/(x^3) over Z_3 share no grading group."""
-    ring = direct_product([poly_quotient_xn(cyclic(2), 2, var="Y"), poly_quotient_xn(cyclic(2), 3)])
-    with pytest.raises(ValueError, match="factor gradings must share one group"):
-        canonical_grading(ring)
+_MIXED_PRODUCTS = {
+    "Z2[x]/(x^2)xZ2[Z3]": lambda: build_spec({"kind": "product", "factors": [
+        {"kind": "polyQuotientXn", "base": {"kind": "cyclic", "n": 2}, "n": 2},
+        {"kind": "groupRing", "base": {"kind": "cyclic", "n": 2}, "group": [3]},
+    ]}),
+    "Z2[x]/(x^2)xZ2[x,y]/(x,y)^2": lambda: direct_product(
+        [poly_quotient_xn(cyclic(2), 2), monomial_quotient(2, 2, [], 1)]),
+    "Z2[Y]/(Y^2)xZ2[x]/(x^3)xZ2": lambda: direct_product(
+        [poly_quotient_xn(cyclic(2), 2, var="Y"), poly_quotient_xn(cyclic(2), 3), cyclic(2)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_MIXED_PRODUCTS))
+def test_product_grading_over_different_groups_takes_the_product_group(name):
+    """Factors graded over different groups grade their product by the
+    product group, their moduli concatenated: the component at sigma in
+    factor i's coordinates and e elsewhere projects onto (R_i)_sigma at
+    factor i and onto 0 at every other factor, the degree-e component is
+    the product of the factors' degree-e components (a trivially graded
+    factor lies there whole), and every factor identity has degree e."""
+    ring = _MIXED_PRODUCTS[name]()
+    factors = ring.aux["factors"]
+    gradings = [canonical_grading(f) for f in factors]
+    g = canonical_grading(ring)
+    graded = [i for i, h in enumerate(gradings) if h.support_keys != [h.group.identity()]]
+    assert g.group.moduli == sum((gradings[i].group.moduli for i in graded), ())
+    identity = g.group.identity()
+    expected, before = {identity: [h.identity_component().tolist() for h in gradings]}, 0
+    for i in graded:
+        h = gradings[i]
+        for key, ids in h.support.items():
+            if key != h.group.identity():
+                degree = identity[:before] + key + identity[before + len(key):]
+                expected[degree] = [ids.tolist() if j == i else [0] for j in range(len(factors))]
+        before += len(h.group.moduli)
+    assert sorted(expected) == g.support_keys
+    for key, parts in expected.items():
+        ids = g.support[key]
+        assert len(ids) == np.prod([len(part) for part in parts]), (name, key)
+        for i, part in enumerate(parts):
+            assert sorted(set(oracles.product_project(ring, i, ids).tolist())) == part, (name, key)
+    weights = np.cumprod([1] + [f.order for f in factors[:-1]])
+    for w, f in zip(weights, factors):
+        assert g.degree_of(int(w) * f.one) == identity, name
 
 
 def test_localization_grading(e1, e1_grading):
@@ -286,12 +325,8 @@ def test_zero_ring_grading():
 
 
 def _components(build):
-    """Moduli and components of the grading ``build()`` returns, or the
-    message of the ValueError it raises (factors graded over different groups)."""
-    try:
-        grading = build()
-    except ValueError as err:
-        return str(err)
+    """Moduli and components of the grading ``build()`` returns."""
+    grading = build()
     return grading.group.moduli, {k: ids.tolist() for k, ids in grading.support.items()}
 
 
@@ -299,7 +334,7 @@ def _assert_matches_former_builders(ring):
     """canonical_grading, product_grading (of the factors' trivial gradings)
     and square_zero_extension_grading equal the former builders' gradings,
     the last on R[X]/(X^2) when its order is at most EXTENSION_CAP, lifting
-    the canonical grading or, where that raises, the trivial one."""
+    the canonical grading."""
     assert _components(lambda: canonical_grading(ring)) == _components(
         lambda: oracles.former_canonical_grading(ring)
     )
@@ -309,10 +344,7 @@ def _assert_matches_former_builders(ring):
             lambda: oracles.product_grading(ring, trivial)
         )
     if ring.order**2 <= EXTENSION_CAP:
-        try:
-            graded = canonical_grading(ring)
-        except ValueError:
-            graded = trivial_grading(ring)
+        graded = canonical_grading(ring)
         ext = poly_quotient_xn(ring, 2, var="X", max_order=EXTENSION_CAP)
         assert _components(lambda: square_zero_extension_grading(ext, graded)) == _components(
             lambda: oracles.square_zero_extension_grading(ext, graded)
@@ -337,6 +369,7 @@ _GRADED_RINGS = {
     "(Z3(+)Z3)xZ2[Y]/(Y^2)xZ2": lambda: direct_product(
         [idealization(cyclic(3)), _Y2(2), cyclic(2)]
     ),
+    **_MIXED_PRODUCTS,
 }
 
 
@@ -489,12 +522,8 @@ def test_component_pools_match_former_builders(name):
 @given(data=st.data())
 def test_component_pools_match_former_builders_on_generated_rings(data):
     """Generated construction documents of order at most 64, under their
-    canonical grading (where it exists) and the trivial one."""
+    canonical grading and the trivial one."""
     doc, _ = oracles.construction_document(data.draw, 64)
     ring = build_spec(doc)
     _assert_pools_match_former_builders(trivial_grading(ring))
-    try:
-        graded = canonical_grading(ring)
-    except ValueError:
-        return
-    _assert_pools_match_former_builders(graded)
+    _assert_pools_match_former_builders(canonical_grading(ring))

@@ -17,6 +17,7 @@ from emrings.construct import (
     group_ring,
     idealization,
     localization,
+    monomial_quotient,
     poly_quotient_xn,
 )
 from emrings.grading import (
@@ -136,8 +137,8 @@ def test_t6_decides_factors_under_the_projected_grading():
 def _t6_products():
     """(name, ring, grading): prod-e1sm, Z3 x Z3 graded by the diagonal and
     the antidiagonal, and R x S for every R, S below with |R x S| <= 300,
-    under the trivial grading and, where the factors share a group, the
-    canonical one."""
+    under the trivial grading and the canonical one (over the product group
+    where the factors' groups differ)."""
     factors = {
         "Z2": cyclic(2), "Z4": cyclic(4), "Z6": cyclic(6),
         "e1": poly_quotient_xn(cyclic(4), 2, var="Y"), "Z2(+)Z2": idealization(cyclic(2)),
@@ -151,11 +152,28 @@ def _t6_products():
         if ring.order > 300:
             continue
         cases.append((f"{a}x{b}/trivial", ring, trivial_grading(ring)))
-        try:
-            cases.append((f"{a}x{b}", ring, canonical_grading(ring)))
-        except ValueError:
-            pass  # factors graded over different groups
+        cases.append((f"{a}x{b}", ring, canonical_grading(ring)))
     return cases
+
+
+def test_t6_runs_on_products_graded_over_the_product_group():
+    """Z2[x]/(x^2) x Z2[Z3] and Z2[x]/(x^2) x Z2[x,y]/(x,y)^2 have factors
+    graded over different groups.  Under their canonical gradings, over the
+    product group, every factor identity is homogeneous, so the t6 row
+    decides both sides instead of being skipped."""
+    z2 = poly_quotient_xn(cyclic(2), 2)
+    entries = [
+        CorpusEntry(name, ring, canonical_grading(ring))
+        for name, ring in (
+            ("Z2[x]/(x^2)xZ2[Z3]", direct_product([z2, group_ring(cyclic(2), [3])])),
+            ("Z2[x]/(x^2)xZ2[x,y]/(x,y)^2", direct_product([z2, monomial_quotient(2, 2, [], 1)])),
+        )
+    ]
+    assert [entry.grading.group.moduli for entry in entries] == [(2, 3), (2, 0, 0)]
+    rows = _by_name(theorem_suite(entries))
+    assert suite_failures(list(rows.values())) == []
+    for entry in entries:
+        assert "sides" in rows[f"t6@{entry.name}"].bounds, entry.name
 
 
 def test_t6_factor_corners_match_the_projected_gradings():
@@ -184,7 +202,7 @@ def test_t6_factor_corners_match_the_projected_gradings():
                 k: ids.tolist() for k, ids in corner.support.items()
             }, (name, i)
             assert is_em_g_graded(f, g).holds == is_em_g_graded(loc, corner).holds, (name, i)
-    assert (len(cases), skipped) == (94, 1)
+    assert (len(cases), skipped) == (100, 1)
 
 
 def test_square_zero_extension_is_decided_once_per_entry(monkeypatch):
