@@ -25,14 +25,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .construct import _decode_all, localization
-from .grading import (
-    Grading,
-    component_zero_divisors,
-    is_graded_ideal,
-    localization_grading,
-    trivial_grading,
-)
+from .construct import _decode_all
+from .grading import Grading, component_zero_divisors, graded_factors, is_graded_ideal
 from .poly import (
     BivariatePolynomial,
     Polynomial,
@@ -53,7 +47,6 @@ from .rings import (
     annihilator_mask,
     element_ids,
     ideal_lattice,
-    idempotents,
     zero_divisors,
 )
 
@@ -426,27 +419,6 @@ def _armendariz_pools(grading: Grading) -> list:
     return [(key, sorted([ring.zero, *ids])) for key, ids in component_zero_divisors(grading)]
 
 
-def _factor_gradings(ring: FiniteRing, grading: Optional[Grading]) -> list[Grading]:
-    """The graded factors eR of R (README, "Graded factors"), one per
-    primitive homogeneous idempotent e, each the corner {1, e}^-1 R under
-    its localization grading; [] when 1 is the only nonzero homogeneous
-    idempotent.  ``grading`` None stands for the trivial grading, built
-    only when R splits."""
-    idem = idempotents(ring)
-    idem = idem[[e != ring.zero and (grading is None or grading.degree_of(e) is not None)
-                 for e in idem.tolist()]]
-    # f <= e iff fe = f; e is primitive when it lies above no other f
-    below = ring.mul_table[np.ix_(idem, idem)] == idem
-    primitive = idem[below.sum(axis=1) == 1]
-    if len(primitive) < 2:
-        return []
-    if grading is None:
-        grading = trivial_grading(ring)
-    return [
-        localization_grading(localization(ring, grading, [ring.one, int(e)])) for e in primitive
-    ]
-
-
 def _armendariz_report(
     name: str, ring: FiniteRing, pools: list, degree: int, grading: Optional[Grading]
 ) -> PropertyReport:
@@ -475,7 +447,7 @@ def _armendariz_report(
         return _armendariz_scan(over, blocks, degree)
 
     bounds = {"max_degree": degree}
-    factors = _factor_gradings(ring, grading)
+    factors = graded_factors(ring, grading)
     if factors and all(scan(g.ring, _armendariz_pools(g)) is None for g in factors):
         return _report(name, ring, t0, None, bounds, holds="true_up_to_bounds")
     witness = scan(ring, pools)

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .construct import digit_ids
+from .construct import digit_ids, localization
 from .rings import (
     FiniteRing,
     Ideal,
@@ -421,6 +421,25 @@ def localization_grading(ring: FiniteRing) -> Grading:
     canonical = ring.aux["canonical_map"]
     comps = {k: canonical[ids] for k, ids in bgrading.support.items()}
     return Grading(ring, bgrading.group, comps)
+
+
+def graded_factors(ring: FiniteRing, grading: Optional[Grading]) -> list[Grading]:
+    """The graded factors eR of R (README, "Graded factors"), one per atom,
+    that is per primitive homogeneous idempotent e, ascending: each is the
+    corner {1, e}^-1 R under its localization grading.  [] when 1 is the
+    only atom.  ``grading`` None stands for the trivial grading, built only
+    when R splits."""
+    idem = idempotents(ring)
+    idem = idem[[e != ring.zero and (grading is None or grading.degree_of(e) is not None)
+                 for e in idem.tolist()]]
+    # f <= e iff fe = f; e is an atom when it lies above no other f
+    below = ring.mul_table[np.ix_(idem, idem)] == idem
+    atoms = idem[below.sum(axis=1) == 1]
+    if len(atoms) < 2:
+        return []
+    if grading is None:
+        grading = trivial_grading(ring)
+    return [localization_grading(localization(ring, grading, [ring.one, int(e)])) for e in atoms]
 
 
 def square_zero_extension_grading(ring: FiniteRing, base_grading: Grading) -> Grading:

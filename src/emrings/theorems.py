@@ -30,19 +30,19 @@ from .analysis import (
     verify_t5,
     verify_t7_bounded,
 )
-from .construct import digit_ids, localization, poly_quotient_xn
+from .construct import digit_ids, poly_quotient_xn
 from .grading import (
     Grading,
     check_t2_hypotheses,
     check_t8_condition,
     check_t10_condition,
     component_zero_divisors,
+    graded_factors,
     is_crossed_product,
     is_graded_ideal,
-    localization_grading,
     square_zero_extension_grading,
 )
-from .rings import FiniteRing, annihilator, annihilator_mask, idempotents, subring
+from .rings import FiniteRing, annihilator, annihilator_mask, subring
 
 SUITE_TAGS = [
     "t1", "t2", "c2", "t3", "t4", "c3", "t6", "t8", "t9", "t10", "t11", "c7",
@@ -95,22 +95,6 @@ def _biconditional(tag, entry, left, right) -> PropertyReport:
     return PropertyReport(name, "false", {"left": sides[0], "right": sides[1]}, {}, millis)
 
 
-def _factor_corners(ring: FiniteRing, grading: Grading) -> Optional[list[Grading]]:
-    """The corner e_iR of each factor identity e_i of a product ring, under
-    its localization grading, or None when some e_i is not homogeneous.
-    ``grading`` is the product of its projections iff every e_i is
-    homogeneous, and then e_iR is graded-isomorphic to factor i under its
-    projected grading (README, "Factor corners")."""
-    factors = ring.aux["factors"]
-    ids = [
-        int(digit_ids(ring, [[f.one if j == i else f.zero] for j, f in enumerate(factors)])[0])
-        for i in range(len(factors))
-    ]
-    if any(grading.degree_of(e) is None for e in ids):
-        return None
-    return [localization_grading(localization(ring, grading, [ring.one, e])) for e in ids]
-
-
 def theorem_suite(
     entries: list[CorpusEntry],
     caps: SearchCaps = SearchCaps(),
@@ -148,6 +132,13 @@ def _entry_rows(entry: CorpusEntry, armendariz_degree: Optional[int]) -> list[Pr
     def re_em() -> bool:
         return is_em_ring(subring(ring, grading.identity_component())[0]).holds
 
+    # is the corner of every atom (primitive homogeneous idempotent)
+    # EM-graded?  When 1 is the only atom its corner is R itself
+    @functools.cache
+    def factors_em_graded() -> bool:
+        factors = graded_factors(ring, grading)
+        return all(is_em_g_graded(g.ring, g).holds for g in factors) if factors else em_graded()
+
     # t1: EM-graded iff every component is an EM-subset.  is_em_g_graded
     # decides EM-graded by that very scan, so the row checks that its pools
     # cover hZ(R), recomputed as the nonzero homogeneous x (degree_of) with a
@@ -173,19 +164,10 @@ def _entry_rows(entry: CorpusEntry, armendariz_degree: Optional[int]) -> list[Pr
     ]
 
     # t4: EM-graded -> localizations at homogeneous multiplicative sets stay
-    # EM-graded.  Up to graded isomorphism these are the corners eR = {1, e}^-1 R,
-    # one per nonzero homogeneous idempotent e (README, "Localization grading");
-    # e = 1 gives R itself, whose verdict is the hypothesis, and 0 in S the zero ring
-    def corners_em_graded() -> bool:
-        for e in idempotents(ring).tolist():
-            if e in (ring.zero, ring.one) or grading.degree_of(e) is None:
-                continue
-            loc = localization(ring, grading, [ring.one, e])
-            if not is_em_g_graded(loc, localization_grading(loc)).holds:
-                return False
-        return True
-
-    rows.append(_implication("t4", entry, em_graded, corners_em_graded))
+    # EM-graded.  Up to graded isomorphism these are the corners eR, one per
+    # nonzero homogeneous idempotent e, and eR is EM-graded iff the corner of
+    # every atom below e is (README, "Localization grading")
+    rows.append(_implication("t4", entry, em_graded, factors_em_graded))
 
     # c3: Bezout-graded -> EM-graded
     rows.append(_implication(
@@ -194,17 +176,20 @@ def _entry_rows(entry: CorpusEntry, armendariz_degree: Optional[int]) -> list[Pr
     ))
 
     # t6: a product is EM-graded iff every factor is, each graded by the
-    # projections of the components, that is iff every factor corner e_iR is
-    # (product entries only)
+    # projections of the components; they are iff the atoms' corners are.
+    # Skipped unless every factor identity e_i is homogeneous, that is unless
+    # the grading is the product of its projections (README, "Factor corners")
     if (ring.provenance or {}).get("kind") == "product":
-        corners = _factor_corners(ring, grading)
-        if corners is None:
+        factors = ring.aux["factors"]
+        identities = [
+            digit_ids(ring, [[f.one if j == i else f.zero] for j, f in enumerate(factors)])[0]
+            for i in range(len(factors))
+        ]
+        if any(grading.degree_of(int(e)) is None for e in identities):
             marker = "grading is not a product of its projections"
             rows.append(_implication("t6", entry, lambda: None, None, skip=marker))
         else:
-            rows.append(_biconditional("t6", entry, em_graded, lambda: all(
-                is_em_g_graded(g.ring, g).holds for g in corners
-            )))
+            rows.append(_biconditional("t6", entry, em_graded, factors_em_graded))
 
     # t8: no nonzero homogeneous zero divisors -> R[X]/(X^2) is EM-graded;
     # t9: R[X]/(X^2) EM-graded -> R EM-graded.  built is None when the

@@ -14,7 +14,14 @@ import numpy as np
 from hypothesis import strategies as st
 
 from emrings import analysis
-from emrings.construct import monomial_basis
+from emrings.construct import (
+    cyclic,
+    digit_ids,
+    direct_product,
+    localization,
+    monomial_basis,
+    poly_quotient_xn,
+)
 from emrings import grading as grading_module
 from emrings.grading import (
     Grading,
@@ -25,7 +32,7 @@ from emrings.grading import (
     trivial_grading,
     validate_grading,
 )
-from emrings.rings import _zero_divisor_mask, annihilator_mask, units, zero_divisors
+from emrings.rings import _zero_divisor_mask, annihilator_mask, idempotents, units, zero_divisors
 
 
 def subset_stream(pool: Iterable[int]):
@@ -885,8 +892,56 @@ def keyed_ideal_lattice(ring, pool, max_gens: Optional[int] = None):
                 yield path + (p,), tuple(int(x) for x in joined)
 
 
-# -- the former t6 reading of a product's grading; theorems._factor_corners
-# now localizes at the factor identities instead
+# -- the former t4 and t6 readings of a ring's corners: t4 localized at
+# every nonzero homogeneous idempotent e != 1, and t6 first projected a
+# product's grading onto its factors, then localized at the factor
+# identities.  The suite now reads both rows off the atoms' corners,
+# grading.graded_factors
+
+
+_E1 = lambda: poly_quotient_xn(cyclic(4), 2, var="Y")
+
+# rings that split into two or three graded factors under their canonical
+# and trivial gradings; Z2 x Z2 x Z4 has three atoms and six proper
+# homogeneous idempotents
+SPLIT_RINGS = {
+    "Z2 x e1": lambda: direct_product([cyclic(2), _E1()]),
+    "e1 x Z3": lambda: direct_product([_E1(), cyclic(3)]),
+    "Z4 x Z2[Y]/(Y^2)": lambda: direct_product(
+        [cyclic(4), poly_quotient_xn(cyclic(2), 2, var="Y")]
+    ),
+    "Z6[Y]/(Y^2)": lambda: poly_quotient_xn(cyclic(6), 2, var="Y"),
+    "Z10": lambda: cyclic(10),
+    "Z12": lambda: cyclic(12),
+    "Z2 x Z2 x Z4": lambda: direct_product([cyclic(2), cyclic(2), cyclic(4)]),
+}
+
+
+def _corner(ring, grading, e: int) -> Grading:
+    """{1, e}^-1 R under its localization grading."""
+    return localization_grading(localization(ring, grading, [ring.one, e]))
+
+
+def former_t4_corners(ring, grading) -> list:
+    """The corner at each nonzero homogeneous idempotent e != 1, ascending:
+    the sets the former t4 row localized at."""
+    return [
+        _corner(ring, grading, e) for e in idempotents(ring).tolist()
+        if e not in (ring.zero, ring.one) and grading.degree_of(e) is not None
+    ]
+
+
+def former_factor_corners(ring, grading) -> Optional[list]:
+    """The corner e_iR of each factor identity e_i of a product ring, or
+    None when some e_i is not homogeneous: the former t6 row's factors."""
+    factors = ring.aux["factors"]
+    ids = [
+        int(digit_ids(ring, [[f.one if j == i else f.zero] for j, f in enumerate(factors)])[0])
+        for i in range(len(factors))
+    ]
+    if any(grading.degree_of(e) is None for e in ids):
+        return None
+    return [_corner(ring, grading, e) for e in ids]
 
 
 def product_project(ring, i: int, elem):

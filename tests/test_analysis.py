@@ -43,6 +43,7 @@ from emrings.grading import (
     canonical_grading,
     check_t2_hypotheses,
     check_t10_condition,
+    graded_factors,
     is_graded_ideal,
     localization_grading,
     trivial_grading,
@@ -646,7 +647,7 @@ def _assert_matches_whole_ring(*decides) -> list:
     """Each decider's report equals its report with the split turned off,
     that is from the whole-ring scan; returns the reports."""
     reports = [_outcome(decide) for decide in decides]
-    with mock.patch.object(analysis, "_factor_gradings", lambda ring, grading: []):
+    with mock.patch.object(analysis, "graded_factors", lambda ring, grading: []):
         assert reports == [_outcome(decide) for decide in decides]
     return reports
 
@@ -660,26 +661,11 @@ def test_armendariz_factors_match_whole_ring_on_presets(name):
     degree = 3 if ring.order <= 300 else 2
     ungraded = 2 if name in ("z4-xn-3", "prod-e1sm") else degree
     if name == "z4-xn-3":
-        assert analysis._factor_gradings(ring, None) == []
+        assert graded_factors(ring, None) == []
     _assert_matches_whole_ring(
         functools.partial(is_armendariz_g_graded, ring, grading, degree),
         functools.partial(is_armendariz, ring, ungraded),
     )
-
-
-_E1 = lambda: poly_quotient_xn(cyclic(4), 2, var="Y")
-
-_SPLIT_RINGS = {
-    "Z2 x e1": lambda: direct_product([cyclic(2), _E1()]),
-    "e1 x Z3": lambda: direct_product([_E1(), cyclic(3)]),
-    "Z4 x Z2[Y]/(Y^2)": lambda: direct_product(
-        [cyclic(4), poly_quotient_xn(cyclic(2), 2, var="Y")]
-    ),
-    "Z6[Y]/(Y^2)": lambda: poly_quotient_xn(cyclic(6), 2, var="Y"),
-    "Z10": lambda: cyclic(10),
-    "Z12": lambda: cyclic(12),
-    "Z2 x Z2 x Z4": lambda: direct_product([cyclic(2), cyclic(2), cyclic(4)]),
-}
 
 
 def test_armendariz_factors_match_whole_ring_on_split_rings():
@@ -689,11 +675,11 @@ def test_armendariz_factors_match_whole_ring_on_split_rings():
     decider at degree 1: at degree 2 it repeats the trivial grading's scan,
     15 s on Z6[Y]/(Y^2)."""
     graded = []
-    for name, build in _SPLIT_RINGS.items():
+    for name, build in oracles.SPLIT_RINGS.items():
         ring = build()
         _assert_matches_whole_ring(functools.partial(is_armendariz, ring, 1))
         for grading in (canonical_grading(ring), trivial_grading(ring)):
-            assert len(analysis._factor_gradings(ring, grading)) >= 2, name
+            assert len(graded_factors(ring, grading)) >= 2, name
             for degree in (1, 2):
                 [report] = _assert_matches_whole_ring(
                     functools.partial(is_armendariz_g_graded, ring, grading, degree)

@@ -6,7 +6,9 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import emrings.grading as grading_module
 import emrings.theorems as theorems
 from emrings.analysis import PropertyReport, SearchCaps, is_em_g_graded
 from emrings.construct import (
@@ -24,6 +26,7 @@ from emrings.grading import (
     Grading,
     GradingGroup,
     canonical_grading,
+    graded_factors,
     homogeneous_elements,
     trivial_grading,
     validate_grading,
@@ -113,12 +116,21 @@ def test_t6_runs_on_product_preset():
     assert not suite_failures(list(rows.values()))
 
 
-def test_t6_decides_factors_under_the_projected_grading():
+def test_t6_decides_factors_under_the_projected_grading(monkeypatch):
     """t6 grades each factor by the projections of the entry's components.
     e1 x Z2 under the trivial grading projects to the trivial gradings, under
     which e1 is not EM-graded, so both sides are false (not the canonical
-    Z2-grading of e1, which is).  Z3 x Z3 graded by the diagonal and the
-    antidiagonal is not a product grading: both project onto all of Z3."""
+    Z2-grading of e1, which is).  There t3's and t4's hypotheses fail, so
+    the only corners built are t6's, at the two atoms.  Z3 x Z3 graded by
+    the diagonal and the antidiagonal is not a product grading: both
+    project onto all of Z3."""
+    built = []
+
+    def recording(ring, grading, s):
+        built.append(len(s))
+        return localization(ring, grading, s)
+
+    monkeypatch.setattr(grading_module, "localization", recording)
     z3 = direct_product([cyclic(3), cyclic(3)])
     diagonal = validate_grading(
         Grading(z3, GradingGroup((2,)), {(0,): [0, 4, 8], (1,): [0, 5, 7]})
@@ -131,6 +143,7 @@ def test_t6_decides_factors_under_the_projected_grading():
     rows = _by_name(theorem_suite(entries))
     assert suite_failures(list(rows.values())) == []
     assert rows["t6@e1xZ2"].bounds == {"sides": [False, False]}
+    assert built == [2, 2]
     assert rows["t6@Z3xZ3"].bounds == {"skipped": "grading is not a product of its projections"}
 
 
@@ -176,18 +189,36 @@ def test_t6_runs_on_products_graded_over_the_product_group():
         assert "sides" in rows[f"t6@{entry.name}"].bounds, entry.name
 
 
+def _row_sides(ring, grading) -> dict:
+    """tag -> the conclusion, or the right side, that ``_entry_rows`` hands
+    each row, as a callable, and None for a skipped row; no row is decided
+    and no square-zero extension is built."""
+    sides = {}
+
+    def record(tag, entry, first, second, **kwargs):
+        sides[tag] = second
+
+    with mock.patch.object(theorems, "_implication", record), \
+            mock.patch.object(theorems, "_biconditional", record), \
+            mock.patch.object(theorems, "EXTENSION_CAP", 0):
+        theorems._entry_rows(CorpusEntry("case", ring, grading), None)
+    return sides
+
+
 def test_t6_factor_corners_match_the_projected_gradings():
     """Every factor identity e_i is homogeneous exactly where the grading is
-    the product of its projections, and then x -> class of e_i*x is a graded
-    isomorphism from factor i, under the projected grading, onto the corner
-    e_iR under its localization grading; so t6's right side, the factors'
-    EM-graded verdicts, is the former one."""
+    the product of its projections, and there, and only there, the t6 row
+    runs.  Then x -> class of e_i*x is a graded isomorphism from factor i,
+    under the projected grading, onto the corner e_iR under its
+    localization grading, built here; so the factors' EM-graded verdicts
+    are the corners'."""
     cases = _t6_products()
     skipped = 0
     for name, ring, grading in cases:
         projected = oracles.former_projected_gradings(ring, grading)
-        corners = theorems._factor_corners(ring, grading)
+        corners = oracles.former_factor_corners(ring, grading)
         assert (corners is None) == (projected is None), name
+        assert (_row_sides(ring, grading)["t6"] is None) == (projected is None), name
         skipped += corners is None
         factors = ring.aux["factors"]
         for i, (g, corner) in enumerate(zip(projected or [], corners or [])):
@@ -203,6 +234,54 @@ def test_t6_factor_corners_match_the_projected_gradings():
             }, (name, i)
             assert is_em_g_graded(f, g).holds == is_em_g_graded(loc, corner).holds, (name, i)
     assert (len(cases), skipped) == (100, 1)
+
+
+def _assert_sides_match_former_corners(ring, grading, name):
+    """t4's conclusion and t6's right side, both the atoms' verdict, equal
+    the verdicts over the former rows' corners.  The conclusion is read
+    whatever t4's hypothesis, so its reference also takes e = 1, whose
+    corner is R: the former row left it out because the row decides its
+    conclusion only when R is EM-graded."""
+    em = lambda corners: all(is_em_g_graded(g.ring, g).holds for g in corners)
+    sides = _row_sides(ring, grading)
+    former_t4 = is_em_g_graded(ring, grading).holds and em(oracles.former_t4_corners(ring, grading))
+    assert sides["t4"]() == former_t4, name
+    if "t6" in sides:
+        corners = oracles.former_factor_corners(ring, grading)
+        assert (sides["t6"] is None) == (corners is None), name
+        if corners is not None:
+            assert sides["t6"]() == em(corners), name
+
+
+def test_t4_and_t6_match_the_former_corners():
+    """On the split rings (Z2 x Z2 x Z4 has 3 atoms and 6 proper
+    homogeneous idempotents), on a one-factor product of e1, whose only
+    atom is 1, and on the 100 t6 products, each split ring and e1 under
+    its canonical and trivial gradings."""
+    cases = _t6_products()
+    e1 = direct_product([poly_quotient_xn(cyclic(4), 2, var="Y")])
+    for name, ring in [*((n, build()) for n, build in oracles.SPLIT_RINGS.items()), ("(e1)", e1)]:
+        cases += [(name, ring, canonical_grading(ring)), (name, ring, trivial_grading(ring))]
+    for name, ring, grading in cases:
+        _assert_sides_match_former_corners(ring, grading, name)
+    ring = oracles.SPLIT_RINGS["Z2 x Z2 x Z4"]()
+    assert [len(corners(ring, trivial_grading(ring)))
+            for corners in (graded_factors, oracles.former_t4_corners)] == [3, 6]
+    # e1 alone: no corner either way, and the atoms' verdict is e1's own
+    assert len(graded_factors(e1, trivial_grading(e1))) == 0
+    assert not _row_sides(e1, trivial_grading(e1))["t6"]()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_t4_and_t6_match_the_former_corners_on_generated_products(data):
+    """Products of two generated construction documents, of order at most
+    64, under their canonical and trivial gradings."""
+    first, a = oracles.construction_document(data.draw, 16)
+    second, _ = oracles.construction_document(data.draw, 64 // a)
+    ring = build_spec({"kind": "product", "factors": [first, second]})
+    for grading in (canonical_grading(ring), trivial_grading(ring)):
+        _assert_sides_match_former_corners(ring, grading, (first, second))
 
 
 def test_square_zero_extension_is_decided_once_per_entry(monkeypatch):
@@ -275,11 +354,12 @@ def test_l2_lattice_over_zero_divisors_misses_only_r():
     "name, orders",
     [("z6", [2, 3]), ("prod-e1sm", [4, 4]), ("e2-trunc-d1", [8, 27])],
 )
-def test_t4_localizes_at_each_homogeneous_idempotent_but_one(monkeypatch, name, orders):
-    """t4 localizes at {1, e} for each nonzero homogeneous idempotent e != 1
-    in ascending id order, and at nothing else: the proper corners eR.  e = 1
-    would give R itself, whose verdict is the row's hypothesis (prod-e1sm's 1
-    has id 5).  The localizations of t6's factor corners are not recorded."""
+def test_t4_localizes_once_per_atom_and_t6_builds_no_corner(monkeypatch, name, orders):
+    """t4 localizes at {1, e} for each atom e, a nonzero homogeneous
+    idempotent with no other below it, in ascending id order, and at
+    nothing else.  t6 reads the same verdict, so the t4 and t6 rows of
+    prod-e1sm localize twice, once per atom, and not again per factor
+    identity.  t3, which splits on the same atoms, is stubbed out."""
     seen = []
 
     def recording(ring, grading, s):
@@ -287,24 +367,19 @@ def test_t4_localizes_at_each_homogeneous_idempotent_but_one(monkeypatch, name, 
         seen.append((set(s), loc.order))
         return loc
 
-    factor_corners = theorems._factor_corners
-
-    def unrecorded(ring, grading):
-        with monkeypatch.context() as m:
-            m.setattr(theorems, "localization", localization)
-            return factor_corners(ring, grading)
-
-    monkeypatch.setattr(theorems, "localization", recording)
-    monkeypatch.setattr(theorems, "_factor_corners", unrecorded)
+    monkeypatch.setattr(grading_module, "localization", recording)
+    monkeypatch.setattr(theorems, "is_armendariz_g_graded",
+                        lambda *args: PropertyReport("armendariz-graded", "true_up_to_bounds"))
     entry = preset_corpus([name])[0]
     rows = _by_name(theorem_suite([entry]))
     assert rows[f"t4@{name}"].bounds == {"hypothesis": True, "conclusion": True}
     ring, hom = entry.ring, set(homogeneous_elements(entry.grading).tolist())
-    expected = [
-        e for e in idempotents(ring).tolist() if e not in (ring.zero, ring.one) and e in hom
-    ]
-    assert [s for s, _ in seen] == [{ring.one, e} for e in expected]
+    idem = [e for e in idempotents(ring).tolist() if e != ring.zero and e in hom]
+    atoms = [e for e in idem if not any(f != e and ring.mul_table[e, f] == f for f in idem)]
+    assert [s for s, _ in seen] == [{ring.one, e} for e in atoms]
     assert [order for _, order in seen] == orders
+    if name == "prod-e1sm":
+        assert rows["t6@prod-e1sm"].bounds == {"sides": [True, True]}
 
 
 def test_t5_hypothesis_is_the_em_graded_verdict():
